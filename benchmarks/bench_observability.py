@@ -35,7 +35,6 @@ or through pytest; ``--quick`` shrinks the stream and repeat count.
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 import time
@@ -46,6 +45,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import _pristine_sched  # noqa: E402  (path bootstrap above)
+from _trajectory import append_run  # noqa: E402
 import repro.ssd.scheduler as _live_sched  # noqa: E402
 from repro.nand.timing import NandTimingModel  # noqa: E402
 from repro.obs import TraceRecorder  # noqa: E402
@@ -227,34 +227,38 @@ def run_benchmark(quick: bool = False) -> tuple[str, dict]:
         "traced_ratio": traced_ratio,
         "spans": len(last_recorder),
         "results": results,
+        "config": {
+            "ops": ops,
+            "repeats": repeats,
+            "open_window": OPEN_WINDOW,
+            "open_arrival_s": OPEN_ARRIVAL_S,
+        },
     }
     return "\n".join(lines) + "\n", metrics
 
 
 def _save(text: str, metrics: dict, quick: bool) -> None:
     """Append this run to the trajectory JSON and print the table."""
-    OUT_PATH.parent.mkdir(exist_ok=True)
-    trajectory = []
-    if OUT_PATH.exists():
-        trajectory = json.loads(OUT_PATH.read_text()).get("trajectory", [])
-    trajectory.append({
-        "quick": quick,
-        "python": sys.version.split()[0],
-        "disabled_ratio_vs_pristine": round(metrics["disabled_ratio"], 3),
-        "traced_ratio_vs_pristine": round(metrics["traced_ratio"], 3),
-        "spans": metrics["spans"],
-        "results": metrics["results"],
-    })
-    OUT_PATH.write_text(json.dumps({
-        "benchmark": "observability",
-        "gate": {
-            "topology": f"{GATE_TOPOLOGY[0]}x{GATE_TOPOLOGY[1]}",
-            "shape": "mixed-open",
-            "disabled_floor": MIN_DISABLED_RATIO,
-            "traced_floor": MIN_TRACED_RATIO,
+    append_run(
+        OUT_PATH,
+        {
+            "benchmark": "observability",
+            "gate": {
+                "topology": f"{GATE_TOPOLOGY[0]}x{GATE_TOPOLOGY[1]}",
+                "shape": "mixed-open",
+                "disabled_floor": MIN_DISABLED_RATIO,
+                "traced_floor": MIN_TRACED_RATIO,
+            },
         },
-        "trajectory": trajectory,
-    }, indent=2) + "\n")
+        {
+            "disabled_ratio_vs_pristine": round(metrics["disabled_ratio"], 3),
+            "traced_ratio_vs_pristine": round(metrics["traced_ratio"], 3),
+            "spans": metrics["spans"],
+            "results": metrics["results"],
+        },
+        quick,
+        metrics["config"],
+    )
     print("\n" + text)
 
 

@@ -51,7 +51,6 @@ through pytest; ``--quick`` shrinks streams and skips the 8x8 point.
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 import time
@@ -61,6 +60,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from _trajectory import append_run  # noqa: E402  (path bootstrap above)
 from _legacy_sim import (  # noqa: E402  (path bootstrap above)
     LegacySchedulerCore,
     LegacySimEngine,
@@ -308,6 +308,14 @@ def run_benchmark(quick: bool = False) -> tuple[str, dict]:
         "fast_gate_speedup": fast_gate,
         "fast_gate_speedups": fast_gate_speedups,
         "results": results,
+        "config": {
+            "ops": ops,
+            "repeats": repeats,
+            "topologies": [f"{c}x{d}" for c, d in topologies],
+            "open_window": OPEN_WINDOW,
+            "open_arrival_s": OPEN_ARRIVAL_S,
+            "closed_qd": CLOSED_QD,
+        },
     }
     lines += [
         "",
@@ -327,39 +335,37 @@ def run_benchmark(quick: bool = False) -> tuple[str, dict]:
 
 def _save(text: str, metrics: dict, quick: bool) -> None:
     """Append this run to the trajectory JSON and print the table."""
-    OUT_PATH.parent.mkdir(exist_ok=True)
-    trajectory = []
-    if OUT_PATH.exists():
-        trajectory = json.loads(OUT_PATH.read_text()).get("trajectory", [])
-    trajectory.append({
-        "quick": quick,
-        "python": sys.version.split()[0],
-        "gate_speedup_vs_legacy": round(metrics["gate_speedup"], 3),
-        "gate_speedups": {
-            mode: round(value, 3)
-            for mode, value in metrics["gate_speedups"].items()
+    append_run(
+        OUT_PATH,
+        {
+            "benchmark": "sim_speed",
+            "gate": {
+                "topology": f"{GATE_TOPOLOGY[0]}x{GATE_TOPOLOGY[1]}",
+                "shape": "mixed-open",
+                "floor": MIN_SPEEDUP_FLOOR,
+                "target": MIN_SPEEDUP_TARGET,
+                "fast_floor": MIN_FAST_SPEEDUP_FLOOR,
+                "fast_target": MIN_FAST_SPEEDUP_TARGET,
+            },
         },
-        "fast_gate_speedup_vs_generator": round(
-            metrics["fast_gate_speedup"], 3
-        ),
-        "fast_gate_speedups": {
-            backend: round(value, 3)
-            for backend, value in metrics["fast_gate_speedups"].items()
+        {
+            "gate_speedup_vs_legacy": round(metrics["gate_speedup"], 3),
+            "gate_speedups": {
+                mode: round(value, 3)
+                for mode, value in metrics["gate_speedups"].items()
+            },
+            "fast_gate_speedup_vs_generator": round(
+                metrics["fast_gate_speedup"], 3
+            ),
+            "fast_gate_speedups": {
+                backend: round(value, 3)
+                for backend, value in metrics["fast_gate_speedups"].items()
+            },
+            "results": metrics["results"],
         },
-        "results": metrics["results"],
-    })
-    OUT_PATH.write_text(json.dumps({
-        "benchmark": "sim_speed",
-        "gate": {
-            "topology": f"{GATE_TOPOLOGY[0]}x{GATE_TOPOLOGY[1]}",
-            "shape": "mixed-open",
-            "floor": MIN_SPEEDUP_FLOOR,
-            "target": MIN_SPEEDUP_TARGET,
-            "fast_floor": MIN_FAST_SPEEDUP_FLOOR,
-            "fast_target": MIN_FAST_SPEEDUP_TARGET,
-        },
-        "trajectory": trajectory,
-    }, indent=2) + "\n")
+        quick,
+        metrics["config"],
+    )
     print("\n" + text)
 
 

@@ -35,7 +35,6 @@ through pytest; ``--quick`` shrinks the drive and the stream.
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 from pathlib import Path
@@ -55,6 +54,9 @@ from repro.ssd import (
     SsdTopology,
 )
 from repro.workloads.traces import TraceOp, TraceOpKind, fixed_rate_arrivals
+
+sys.path.insert(0, str(Path(__file__).parent))
+from _trajectory import append_run  # noqa: E402  (path bootstrap above)
 
 #: Acceptance floor: background steady-state write throughput vs the
 #: foreground-stall (synchronous-GC) baseline on the mixed stream.
@@ -268,41 +270,46 @@ def run_benchmark(quick: bool = False) -> tuple[str, dict]:
         "p99_ratio": p99_ratio,
         "fg": {k: v for k, v in fg.items() if k not in ("ftl", "session")},
         "bg": {k: v for k, v in bg.items() if k not in ("ftl", "session")},
+        "config": {
+            "blocks": blocks,
+            "passes": passes,
+            "paced_count": paced_count,
+            "queue_depth": QUEUE_DEPTH,
+            "paced_fraction": PACED_FRACTION,
+        },
     }
     return "\n".join(lines) + "\n", metrics
 
 
 def _save(text: str, metrics: dict, quick: bool) -> None:
     """Append this run to the trajectory JSON and print the table."""
-    OUT_PATH.parent.mkdir(exist_ok=True)
-    trajectory = []
-    if OUT_PATH.exists():
-        trajectory = json.loads(OUT_PATH.read_text()).get("trajectory", [])
     fg, bg = metrics["fg"], metrics["bg"]
-    trajectory.append({
-        "quick": quick,
-        "python": sys.version.split()[0],
-        "bg_vs_fg_steady": round(metrics["bg_vs_fg_steady"], 3),
-        "p99_ratio": round(metrics["p99_ratio"], 3),
-        "fg_steady_ops_s": round(fg["steady_ops_s"], 1),
-        "bg_steady_ops_s": round(bg["steady_ops_s"], 1),
-        "fg_cliff": round(fg["cliff"], 2),
-        "bg_cliff": round(bg["cliff"], 2),
-        "fg_wa": round(fg["wa"], 3),
-        "bg_wa": round(bg["wa"], 3),
-        "bg_collections": bg["collections"],
-        "bg_background_collections": bg["background_collections"],
-    })
-    OUT_PATH.write_text(json.dumps({
-        "benchmark": "sustained_write",
-        "gate": {
-            "topology": "1x4",
-            "shape": "fill + mixed random overwrite",
-            "floor_bg_vs_fg": MIN_BG_VS_FG,
-            "ceiling_p99_ratio": MAX_BG_P99_RATIO,
+    append_run(
+        OUT_PATH,
+        {
+            "benchmark": "sustained_write",
+            "gate": {
+                "topology": "1x4",
+                "shape": "fill + mixed random overwrite",
+                "floor_bg_vs_fg": MIN_BG_VS_FG,
+                "ceiling_p99_ratio": MAX_BG_P99_RATIO,
+            },
         },
-        "trajectory": trajectory,
-    }, indent=2) + "\n")
+        {
+            "bg_vs_fg_steady": round(metrics["bg_vs_fg_steady"], 3),
+            "p99_ratio": round(metrics["p99_ratio"], 3),
+            "fg_steady_ops_s": round(fg["steady_ops_s"], 1),
+            "bg_steady_ops_s": round(bg["steady_ops_s"], 1),
+            "fg_cliff": round(fg["cliff"], 2),
+            "bg_cliff": round(bg["cliff"], 2),
+            "fg_wa": round(fg["wa"], 3),
+            "bg_wa": round(bg["wa"], 3),
+            "bg_collections": bg["collections"],
+            "bg_background_collections": bg["background_collections"],
+        },
+        quick,
+        metrics["config"],
+    )
     (OUT_PATH.parent / "sustained_write.txt").write_text(text)
     print("\n" + text)
 

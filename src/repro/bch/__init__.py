@@ -7,7 +7,7 @@ the Chen-style programmable-LFSR architecture the paper instantiates:
 * :mod:`repro.bch.params` — code design (n, k, t, generator polynomial),
   memoized at module level;
 * :mod:`repro.bch.encoder` — systematic encoder (table-driven LFSR) plus
-  the batched slicing-by-8 kernel behind ``encode_batch``;
+  the lane-parallel kernel behind ``encode_batch``;
 * :mod:`repro.bch.syndrome` / :mod:`berlekamp` / :mod:`chien` — the three
   decoding stages of Fig. 2;
 * :mod:`repro.bch.codec` — the adaptive codec with its polynomial ROM;
@@ -24,10 +24,12 @@ through a wide ECC engine instead of streaming bits:
   odd syndrome is one uint16 gather from a lazily-built power table
   ``alpha^(i*(n-1-j))`` XOR-folded over the set-bit positions; even
   syndromes are vectorized squarings (S_2i = S_i^2).
-* **Encoder**: ``encode_batch`` advances the whole message batch in
-  lockstep through a word-sliced LFSR — the r-bit state of every message
-  lives in one ``(B, ceil(r/64))`` uint64 array and each step absorbs 8
-  message bytes through chunked 256-entry reduction tables.
+* **Encoder**: ``encode_batch`` splits every message into L segments
+  and advances all ``B * L`` segments in lockstep through a word-sliced
+  LFSR (one ``(B*L, ceil(r/64))`` uint64 state, 8 or 16 message bytes
+  per step through 256-entry reduction tables), then folds the segment
+  remainders in a log2(L) tree (zlib's ``crc32_combine`` step).  Its
+  tables are memoised per code and shared by every codec.
 * **Decoder**: ``decode_batch`` computes all syndromes in one vectorized
   pass and applies the all-zero-syndrome early exit across the batch, so
   clean pages never reach Berlekamp-Massey; errored words run a
@@ -43,7 +45,7 @@ including permissive-mode failures and telemetry; the byte-serial scalar
 path survives as the cross-checked reference
 (``BCHDecoder(spec, vectorized=False)``).  Measured on a 4 KiB page at
 t = 65: clean-page decode ~41x, errored-page (t/2 errors) ~6x, encode
-~1.7x over the scalar path (``benchmarks/bench_ecc_throughput.py``).
+~7x over the scalar path (``benchmarks/bench_ecc_throughput.py``).
 """
 
 from repro.bch.params import BCHCodeSpec, design_code

@@ -3,8 +3,9 @@
 Wraps per-t encoders/decoders behind a single object whose correction
 capability can be changed at runtime through ``set_correction_capability``
 — the "dedicated input port" of the paper's adaptable ECC block.  Designed
-codes, encoder reduction tables and syndrome tables are cached per t,
-mirroring the small ROM of characteristic polynomials in the hardware.
+codes and syndrome tables are cached per t, mirroring the small ROM of
+characteristic polynomials in the hardware; encoder tables are shared
+per code by every codec in the process (:mod:`repro.bch.encoder`).
 
 ``encode_batch``/``decode_batch`` expose the vectorized batch datapath
 (see :mod:`repro.bch` for the design): whole page groups move through
@@ -148,7 +149,7 @@ class AdaptiveBCHCodec:
     ) -> list[bytes]:
         """Systematic codewords for a batch of messages (one capability).
 
-        Routed through the encoder's slicing-by-8 batched LFSR; bit-exact
+        Routed through the encoder's lane-parallel batch kernel; bit-exact
         against per-message :meth:`encode`.
         """
         t = self._t if t is None else t

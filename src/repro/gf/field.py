@@ -267,7 +267,17 @@ class GF2m:
         return hash((self.m, self.primitive_poly))
 
 
-@lru_cache(maxsize=None)
 def get_field(m: int, primitive_poly: int | None = None) -> GF2m:
-    """Memoized field constructor (table building for m=16 is not free)."""
+    """Memoized field constructor (table building for m=16 is not free).
+
+    The default polynomial and the same polynomial passed explicitly
+    share one instance.
+    """
+    if primitive_poly is None:
+        primitive_poly = default_primitive_poly(m)
+    return _field(m, primitive_poly)
+
+
+@lru_cache(maxsize=None)
+def _field(m: int, primitive_poly: int) -> GF2m:
     return GF2m(m, primitive_poly)

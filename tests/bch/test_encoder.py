@@ -73,14 +73,21 @@ class TestEncoder:
 
 
 class TestSliceWidths:
-    """Wide (16-byte) vs narrow (8-byte) batch slicing, both vs scalar."""
+    """Lane kernel shapes (slice width, lane count) vs the scalar path."""
 
-    def test_wide_slice_selected_at_r_128(self):
+    def test_slice_and_lane_derivation(self):
+        from repro.bch import encoder as module
         from repro.bch.params import design_code
 
-        assert BCHEncoder(design_code(32768, 8)).slice_bytes == 16   # r = 128
-        assert BCHEncoder(design_code(32768, 14)).slice_bytes == 16  # r = 224
-        assert BCHEncoder(design_code(1024, 8)).slice_bytes == 8     # r = 88
+        assert module._slice_bytes(design_code(32768, 3)) == 8     # r = 48
+        assert module._slice_bytes(design_code(32768, 6)) == 16    # r = 96
+        narrow = BCHEncoder(design_code(32768, 6))
+        assert [narrow._lanes(b) for b in (1, 16, 64, 1024)] == [64, 64, 16, 1]
+        wide = BCHEncoder(design_code(32768, 65))    # r = 1040
+        assert [wide._lanes(b) for b in (1, 16, 64)] == [16, 4, 1]
+        # A 128-byte message cannot hold two lanes as long as its
+        # 86-byte remainder: folding would cost more than splitting saves.
+        assert BCHEncoder(design_code(1024, 65))._lanes(1) == 1
 
     @pytest.mark.parametrize(
         "k,t",
@@ -98,3 +105,25 @@ class TestSliceWidths:
         assert encoder.encode_batch(messages) == [
             encoder.encode(message) for message in messages
         ]
+
+
+class TestSharedTables:
+    def test_codecs_share_tables_until_cache_clear(self):
+        from repro.bch import encoder as module
+        from repro.bch.codec import AdaptiveBCHCodec
+
+        messages = [bytes(4096), bytes(range(256)) * 16]
+        first, second = AdaptiveBCHCodec(), AdaptiveBCHCodec()
+        first.encode_batch(messages, t=8)
+        spec = first.spec_for(8)
+        tables = module._slice_tables(spec)
+        misses = module._slice_tables.cache_info().misses
+        second.encode_batch(messages, t=8)
+        assert module._slice_tables.cache_info().misses == misses
+        assert module._slice_tables(spec) is tables
+        assert first._encoder(8)._table is second._encoder(8)._table
+        assert not tables.flags.writeable
+
+        module._slice_tables.cache_clear()
+        assert module._slice_tables.cache_info().currsize == 0
+        assert module._slice_tables(spec) is not tables

@@ -1,5 +1,6 @@
 """Property-based BCH round-trip tests (hypothesis)."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,3 +69,25 @@ class TestMinimumDistanceProperty:
         # d_min >= 2t+1 > t, so no pattern of weight <= t maps a codeword
         # onto another codeword.
         assert not _ENCODER.is_codeword(corrupted)
+
+
+class TestBatchEncodeProperty:
+    """The lane-parallel batch encoder equals the scalar LFSR for every
+    code shape: narrow (r < 64) and wide states, every lane count the
+    batch size can derive, and message lengths that need front padding
+    (k = 1000 bits is 125 bytes, not a multiple of any slice)."""
+
+    @given(
+        k=st.sampled_from([32768, 1024, 1000]),
+        t=st.integers(min_value=1, max_value=65),
+        batch=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_encode_batch_equals_scalar_encode(self, k, t, batch, seed):
+        encoder = BCHEncoder(design_code(k, t))
+        rng = np.random.default_rng(seed)
+        messages = [rng.bytes(k // 8) for _ in range(batch)]
+        assert encoder.encode_batch(messages) == [
+            encoder.encode(message) for message in messages
+        ]

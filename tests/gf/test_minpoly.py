@@ -67,3 +67,31 @@ class TestMinimalPolynomials:
         assert p1 != p3
         product = poly2_mul(p1, p3)
         assert poly2_deg(product) == poly2_deg(p1) + poly2_deg(p3)
+
+
+class TestFieldSharing:
+    def test_fresh_page_code_constructs_one_field(self, monkeypatch):
+        """Every coset's minimal polynomial reuses the one GF(2^16)."""
+        from repro.bch import params
+        from repro.gf import field, minpoly
+
+        for cached in (
+            params.design_code,
+            params._generator_polynomial,
+            minpoly._minimal_polynomial_cached,
+            field._field,
+        ):
+            cached.cache_clear()
+        constructions = []
+        init = field.GF2m.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructions.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(field.GF2m, "__init__", counting_init)
+        spec = params.design_code(32768, 65)
+        assert spec.r == 1040
+        assert len(constructions) == 1
+        assert get_field(16) is get_field(16, field.default_primitive_poly(16))
+        assert len(constructions) == 1
