@@ -16,10 +16,13 @@ identical before timing.  Run standalone (``python
 benchmarks/bench_ecc_throughput.py``) or through pytest; the full sweep
 is marked ``slow`` and the ``--quick`` knob shrinks the batch.
 
-A second gate pins the batch encoder against the frozen one-lane
-slicing kernel it replaced (``_legacy_encoder.py``), same process, same
-16-page batch: the lane-parallel kernel must stay >= 5x faster at t = 6
-and no slower at t = 65.
+A second set of gates pins each fast path against the frozen kernel it
+replaced, same process, best of 5: the batch encoder against the
+one-lane slicing kernel (``_legacy_encoder.py``) on a 16-page batch
+(>= 5x at t = 6, no slower at t = 65), and the remainder-first syndrome
+stage against the bit-unpack gather (``_legacy_syndrome.py``) on a
+16-page clean batch at t = 6 (>= 4x) and on one page carrying t/2
+errors at t = 65 (no slower).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.bch.params import design_code
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _legacy_encoder import LegacyBCHEncoder  # noqa: E402  (path bootstrap above)
+from _legacy_syndrome import LegacySyndromeCalculator  # noqa: E402
 
 PAGE_BYTES = 4096
 CAPABILITIES = (3, 14, 65)
@@ -45,10 +49,15 @@ CAPABILITIES = (3, 14, 65)
 MIN_CLEAN_SPEEDUP = 10.0
 MIN_ERRORED_SPEEDUP = 5.0
 
-#: Batch encode floors vs the frozen one-lane kernel, by t, at a fixed
-#: 16-page batch (the size of a typical GC migration batch).
-ENCODE_GATE_BATCH = 16
-MIN_ENCODE_VS_LEGACY = {6: 5.0, 65: 1.0}
+#: Floors vs the frozen kernels, keyed by (stage, t, pages, bit errors
+#: per page).  16 pages is the size of a typical GC migration batch;
+#: t/2 errors on one page is the end-of-life read.
+MIN_VS_LEGACY = {
+    ("encode", 6, 16, 0): 5.0,
+    ("encode", 65, 16, 0): 1.0,
+    ("syndromes", 6, 16, 0): 4.0,
+    ("syndromes", 65, 1, 32): 1.0,
+}
 
 
 def _flip_random_bits(codeword: bytes, weight: int,
@@ -134,25 +143,34 @@ def _best_s(fn, arg, repeats: int = 5) -> float:
     return best
 
 
-def bench_encode_vs_legacy(t: int, rng: np.random.Generator) -> float:
-    """Lane kernel speedup over the frozen one-lane kernel (best of 5)."""
+def bench_vs_legacy(stage: str, t: int, pages: int, errors: int,
+                    rng: np.random.Generator) -> float:
+    """Speedup of the live ``stage`` kernel over its frozen predecessor
+    on ``pages`` pages carrying ``errors`` bit errors each (best of 5)."""
     spec = design_code(PAGE_BYTES * 8, t)
-    encoder, legacy = BCHEncoder(spec), LegacyBCHEncoder(spec)
-    messages = [rng.bytes(PAGE_BYTES) for _ in range(ENCODE_GATE_BATCH)]
+    encoder = BCHEncoder(spec)
+    messages = [rng.bytes(PAGE_BYTES) for _ in range(pages)]
+    if stage == "encode":
+        live, legacy = encoder.encode_batch, LegacyBCHEncoder(spec).encode_batch
+        inputs = messages
+    else:
+        live = BCHDecoder(spec).syndrome_calculator.syndromes_batch
+        legacy = LegacySyndromeCalculator(spec).syndromes_batch
+        inputs = [
+            _flip_random_bits(cw, errors, spec.n_stored, rng)
+            for cw in encoder.encode_codeword_batch(messages)
+        ]
     # Cross-check (and build both kernels' tables) outside the timing.
-    assert encoder.encode_batch(messages) == legacy.encode_batch(messages), (
-        "encode mismatch vs the legacy kernel"
+    assert np.array_equal(live(inputs), legacy(inputs)), (
+        f"{stage} mismatch vs the legacy kernel"
     )
-    return (
-        _best_s(legacy.encode_batch, messages)
-        / _best_s(encoder.encode_batch, messages)
-    )
+    return _best_s(legacy, inputs) / _best_s(live, inputs)
 
 
 def run_benchmark(batch_pages: int = 64, scalar_pages: int = 8,
                   capabilities=CAPABILITIES) -> tuple[str, dict, dict]:
-    """Full sweep; returns (report text, speedups-by-t, encode-vs-legacy
-    ratios by t)."""
+    """Full sweep; returns (report text, speedups-by-t, vs-legacy ratios
+    keyed like :data:`MIN_VS_LEGACY`)."""
     rng = np.random.default_rng(20120312)
     lines = [
         "ECC throughput, scalar (byte-serial seed path) vs batch "
@@ -173,18 +191,20 @@ def run_benchmark(batch_pages: int = 64, scalar_pages: int = 8,
                 f"{speedup:>7.1f}x"
             )
         all_speedups[t] = result["speedups"]
-    encode_ratios = {
-        t: bench_encode_vs_legacy(t, rng) for t in MIN_ENCODE_VS_LEGACY
+    legacy_ratios = {
+        gate: bench_vs_legacy(*gate, rng) for gate in MIN_VS_LEGACY
     }
     lines += [
         "",
-        f"batch encode vs the frozen one-lane kernel, {ENCODE_GATE_BATCH} "
-        "pages (best of 5):",
+        "vs the frozen kernels (encode: _legacy_encoder.py, syndromes: "
+        "_legacy_syndrome.py), best of 5:",
+        f"{'stage':>10} {'t':>4} {'pages':>6} {'errors':>7} {'speedup':>8}",
     ] + [
-        f"{t:>4} {ratio:>7.1f}x (floor {MIN_ENCODE_VS_LEGACY[t]:.0f}x)"
-        for t, ratio in encode_ratios.items()
+        f"{stage:>10} {t:>4} {pages:>6} {errors:>7} {ratio:>7.1f}x "
+        f"(floor {MIN_VS_LEGACY[stage, t, pages, errors]:.0f}x)"
+        for (stage, t, pages, errors), ratio in legacy_ratios.items()
     ]
-    return "\n".join(lines) + "\n", all_speedups, encode_ratios
+    return "\n".join(lines) + "\n", all_speedups, legacy_ratios
 
 
 def _save(text: str) -> None:
@@ -194,7 +214,7 @@ def _save(text: str) -> None:
     print("\n" + text)
 
 
-def _check(speedups: dict, encode_ratios: dict) -> list[str]:
+def _check(speedups: dict, legacy_ratios: dict) -> list[str]:
     failures = []
     if speedups[65]["clean"] < MIN_CLEAN_SPEEDUP:
         failures.append(
@@ -206,11 +226,12 @@ def _check(speedups: dict, encode_ratios: dict) -> list[str]:
             f"errored-page decode speedup {speedups[65]['errored']:.1f}x "
             f"below the {MIN_ERRORED_SPEEDUP:.0f}x floor"
         )
-    for t, ratio in encode_ratios.items():
-        if ratio < MIN_ENCODE_VS_LEGACY[t]:
+    for (stage, t, pages, errors), ratio in legacy_ratios.items():
+        floor = MIN_VS_LEGACY[stage, t, pages, errors]
+        if ratio < floor:
             failures.append(
-                f"t={t} batch encode at {ratio:.1f}x the legacy kernel, "
-                f"below the {MIN_ENCODE_VS_LEGACY[t]:.0f}x floor"
+                f"t={t} {stage} ({pages} pages, {errors} errors each) at "
+                f"{ratio:.1f}x the legacy kernel, below the {floor:.0f}x floor"
             )
     return failures
 
@@ -218,23 +239,23 @@ def _check(speedups: dict, encode_ratios: dict) -> list[str]:
 @pytest.mark.slow
 def test_ecc_throughput(quick):
     """Record the perf trajectory and enforce the batch-datapath floors."""
-    text, speedups, encode_ratios = run_benchmark(
+    text, speedups, legacy_ratios = run_benchmark(
         batch_pages=16 if quick else 64
     )
     _save(text)
-    failures = _check(speedups, encode_ratios)
+    failures = _check(speedups, legacy_ratios)
     assert not failures, "; ".join(failures)
 
 
 if __name__ == "__main__":
-    report, speedups, encode_ratios = run_benchmark(
+    report, speedups, legacy_ratios = run_benchmark(
         batch_pages=16 if "--quick" in sys.argv else 64
     )
     _save(report)
-    run_failures = _check(speedups, encode_ratios)
+    run_failures = _check(speedups, legacy_ratios)
     for failure in run_failures:
         print("FAIL:", failure)
     print(f"t=65 decode floors ({MIN_CLEAN_SPEEDUP:.0f}x clean / "
-          f"{MIN_ERRORED_SPEEDUP:.0f}x errored) and encode-vs-legacy floors: "
+          f"{MIN_ERRORED_SPEEDUP:.0f}x errored) and vs-legacy floors: "
           f"{'FAIL' if run_failures else 'PASS'}")
     sys.exit(1 if run_failures else 0)

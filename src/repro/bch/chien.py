@@ -14,12 +14,16 @@ two passes: a uint8 screen XOR-accumulates only the *low byte* of every
 evaluation; a zero value implies a zero low byte, so no root is missed),
 then the few surviving candidates (~n/256 plus the real roots) are
 evaluated exactly.  Per-degree position exponents ``(i * -j) mod order``
-come from a lazily-built int32 table, so the screen loop is one add, one
-gather and one XOR per locator coefficient.  The hardware latency model
-in :mod:`repro.bch.hardware` accounts for the real h-way datapath.
+come from one table per code, built to degree t on first use and shared
+by every decoder (every die) in the process, so the screen loop is one
+add, one gather and one XOR per locator coefficient.  The hardware
+latency model in :mod:`repro.bch.hardware` accounts for the real h-way
+datapath.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,45 +32,37 @@ from repro.gf.field import GF2m
 from repro.gf.polygf import GFPoly
 
 
+@lru_cache(maxsize=None)
+def _degree_exponents(spec: BCHCodeSpec) -> np.ndarray:
+    """Read-only rows 0..t of ``(i * e_j) mod order``, j = 0..n_stored-1.
+
+    Position j (power of x in the stream polynomial, ``codeword * x^pad``)
+    has locator X = alpha^j; lambda's roots are X^{-1} = alpha^{-j}, so
+    lambda is evaluated at alpha^(e_j) with e_j = (-j) mod order.  Stored
+    as intp: numpy re-casts any other index dtype to intp on every
+    fancy-indexing gather, which would cost a full extra pass per
+    locator coefficient.
+    """
+    order = spec.field().order
+    base = (-np.arange(spec.n_stored, dtype=np.intp)) % order
+    rows = np.empty((spec.t + 1, base.size), dtype=np.intp)
+    rows[0] = 0
+    for i in range(1, spec.t + 1):
+        np.add(rows[i - 1], base, out=rows[i])
+        np.subtract(rows[i], order, out=rows[i], where=rows[i] >= order)
+    rows.flags.writeable = False
+    return rows
+
+
 class ChienSearch:
     """Root search over the valid positions of a (shortened) BCH code."""
 
     def __init__(self, spec: BCHCodeSpec):
         self.spec = spec
         self.field: GF2m = spec.field()
-        n = spec.n_stored  # byte-aligned stream (codeword * x^pad)
-        order = self.field.order
-        # Position j (power of x in the stream polynomial) has locator
-        # X = alpha^j; lambda's roots are X^{-1} = alpha^{-j}.  We evaluate
-        # lambda at alpha^e with e = (-j) mod order for j = 0..n-1.
-        exponents = (order - np.arange(n, dtype=np.int64)) % order
-        self._eval_logs = exponents
-        # Lazy fast-path tables (built to the highest degree seen so far).
-        self._ipl: np.ndarray | None = None
         self._exp2_lo: np.ndarray | None = None
         self._acc8: np.ndarray | None = None
         self._scratch: np.ndarray | None = None
-
-    def _degree_exponents(self, degree: int) -> np.ndarray:
-        """Rows 0..degree of ``(i * eval_log_j) mod order``.
-
-        Stored as intp: numpy re-casts any other index dtype to intp on
-        every fancy-indexing gather, which would cost a full extra pass
-        per locator coefficient.
-        """
-        if self._ipl is None or self._ipl.shape[0] <= degree:
-            order = np.intp(self.field.order)
-            pl = (self._eval_logs % self.field.order).astype(np.intp)
-            rows = np.empty((max(degree + 1, 2), pl.size), dtype=np.intp)
-            rows[0] = 0
-            rows[1] = pl
-            for i in range(2, rows.shape[0]):
-                np.add(rows[i - 1], pl, out=rows[i])
-                np.subtract(
-                    rows[i], order, out=rows[i], where=rows[i] >= order
-                )
-            self._ipl = rows
-        return self._ipl
 
     def error_positions(self, locator: GFPoly) -> list[int]:
         """Bit positions (0 = MSB of byte 0) whose locator inverse is a root.
@@ -81,7 +77,12 @@ class ChienSearch:
         coeffs = np.asarray(locator.coeffs, dtype=np.int64)
         nz = np.flatnonzero(coeffs)
         coeff_logs = self.field.log[coeffs[nz]].astype(np.intp)
-        ipl = self._degree_exponents(int(nz[-1]))
+        # Rows beyond t only occur for locators that will fail anyway.
+        table = _degree_exponents(self.spec)
+        ipl = [
+            table[i] if i <= self.spec.t else i * table[1] % self.field.order
+            for i in nz
+        ]
         if self._exp2_lo is None:
             self._exp2_lo = (self.field.exp2_u16 & 0xFF).astype(np.uint8)
         n = self.spec.n_stored
@@ -92,8 +93,8 @@ class ChienSearch:
         acc8, scratch = self._acc8, self._scratch
         acc8[:] = 0
         exp2_lo = self._exp2_lo
-        for row, log_c in zip(nz, coeff_logs):
-            np.add(ipl[row], log_c, out=scratch)
+        for exps, log_c in zip(ipl, coeff_logs):
+            np.add(exps, log_c, out=scratch)
             acc8 ^= exp2_lo[scratch]
         candidates = np.flatnonzero(acc8 == 0)
         if candidates.size == 0:
@@ -101,8 +102,8 @@ class ChienSearch:
         # Pass 2: exact evaluation at the surviving candidates only.
         exp2 = self.field.exp2_u16
         values = np.zeros(candidates.size, dtype=np.uint16)
-        for row, log_c in zip(nz, coeff_logs):
-            values ^= exp2[ipl[row, candidates] + log_c]
+        for exps, log_c in zip(ipl, coeff_logs):
+            values ^= exp2[exps[candidates] + log_c]
         exponents_j = candidates[values == 0]  # j = power of x
         positions = sorted(int(n - 1 - j) for j in exponents_j)
         return positions

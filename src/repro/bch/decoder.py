@@ -5,13 +5,14 @@ syndrome stage.  Decoding failures (more than t errors) raise
 :class:`repro.errors.DecodingFailure` or, in permissive mode, are reported
 in the :class:`DecodeResult`.
 
-Fast path: single-word decodes use the vectorized bit-unpack syndrome
-kernel by default (``vectorized=False`` restores the byte-serial seed
-path, kept as the benchmark/cross-check reference), and
-:meth:`BCHDecoder.decode_batch` decodes a whole batch of pages with one
-batched syndrome computation — the all-zero-syndrome early exit is
-evaluated vectorized across the batch, so clean pages never reach
-Berlekamp-Massey.
+Fast path: :meth:`BCHDecoder.decode` is ``decode_batch`` of one word, and
+``decode_batch`` takes every syndrome from one remainder-first pass
+(:meth:`SyndromeCalculator.syndromes_batch`: re-encode the received
+message through the lane-parallel encoder, XOR with the received parity,
+evaluate only that difference).  A word whose parity matches its
+re-encoding is a codeword and never reaches Berlekamp-Massey.
+``vectorized=False`` keeps the byte-serial syndrome path for single-word
+decodes, as the cross-check and benchmark reference.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class BCHDecoder:
     spec:
         The designed code.
     vectorized:
-        Use the numpy bit-unpack syndrome kernel for single-word decodes
+        Decode single words through the remainder-first batch path
         (default).  ``False`` selects the byte-serial reference path —
         identical results, kept for cross-checking and as the benchmark
         baseline.
@@ -120,20 +121,10 @@ class BCHDecoder:
             words; otherwise return a :class:`DecodeResult` with
             ``success=False`` carrying the uncorrected message bytes.
         """
+        if self.vectorized:
+            return self.decode_batch([codeword], strict)[0]
         self._check_length(codeword)
-        calc = self.syndrome_calculator
-        syndromes = (
-            calc.syndromes_vectorized(codeword)
-            if self.vectorized
-            else calc.syndromes(codeword)
-        )
-        if SyndromeCalculator.all_zero(syndromes):
-            self.stats.observe(0, self.spec.n, failed=False)
-            return DecodeResult(
-                data=bytes(codeword[: self.spec.k // 8]),
-                corrected_bits=0,
-                early_exit=True,
-            )
+        syndromes = self.syndrome_calculator.syndromes(codeword)
         return self._correct(codeword, syndromes, strict)
 
     def decode_batch(
@@ -141,40 +132,34 @@ class BCHDecoder:
     ) -> list[DecodeResult]:
         """Decode a batch of codewords (same contract as :meth:`decode`).
 
-        All syndromes are computed in one vectorized pass; the error-free
-        early exit is applied across the whole batch at once and only the
-        errored words proceed to Berlekamp-Massey + Chien.
+        All syndromes come from one remainder-first pass; words whose
+        syndromes are all zero take the early exit and only the errored
+        words proceed to Berlekamp-Massey + Chien.
         """
         for codeword in codewords:
             self._check_length(codeword)
         if not codewords:
             return []
         syndromes = self.syndrome_calculator.syndromes_batch(codewords)
-        clean = SyndromeCalculator.all_zero_batch(syndromes)
-        message_bytes = self.spec.k // 8
-        results: list[DecodeResult] = []
-        for b, codeword in enumerate(codewords):
-            if clean[b]:
-                self.stats.observe(0, self.spec.n, failed=False)
-                results.append(
-                    DecodeResult(
-                        data=bytes(codeword[:message_bytes]),
-                        corrected_bits=0,
-                        early_exit=True,
-                    )
-                )
-            else:
-                results.append(
-                    self._correct(codeword, syndromes[b].tolist(), strict)
-                )
-        return results
+        return [
+            self._correct(codeword, row, strict)
+            for codeword, row in zip(codewords, syndromes.tolist())
+        ]
 
     def _correct(
         self, codeword: bytes, syndromes: list[int], strict: bool
     ) -> DecodeResult:
-        """Shared BM + Chien + bit-flip stage for a nonzero syndrome word."""
+        """Shared back end: the all-zero-syndrome early exit, else
+        BM + Chien + bit flips."""
         spec = self.spec
         message_bytes = spec.k // 8
+        if SyndromeCalculator.all_zero(syndromes):
+            self.stats.observe(0, spec.n, failed=False)
+            return DecodeResult(
+                data=bytes(codeword[:message_bytes]),
+                corrected_bits=0,
+                early_exit=True,
+            )
         bm = berlekamp_massey(spec.field(), syndromes)
         positions = self.chien.error_positions(bm.error_locator)
 

@@ -1,6 +1,8 @@
 """Syndrome computation (first decoding stage of Fig. 2).
 
-S_i = c(alpha^i) for i = 1..2t.  Two implementations coexist:
+S_i = s(alpha^i) for i = 1..2t, where s(x) is the stored byte stream
+read as a polynomial (byte 0 bit 7 is the coefficient of x^(n_stored-1)).
+Two implementations coexist:
 
 * **Byte-serial reference** (:meth:`SyndromeCalculator.syndromes`): as in
   the paper's hardware, each odd syndrome is produced by reducing the
@@ -9,15 +11,24 @@ S_i = c(alpha^i) for i = 1..2t.  Two implementations coexist:
   over GF(2) since S_{2i} = S_i^2.  Reduction is table-driven
   byte-at-a-time per minimal polynomial.
 
-* **Vectorized fast path** (:meth:`SyndromeCalculator.syndromes_vectorized`
-  / :meth:`syndromes_batch`): the codeword (or a whole batch of codewords)
-  is bit-unpacked with ``np.unpackbits``; for the set-bit positions ``j``
-  every odd syndrome is one uint16 gather from a precomputed power table
-  ``alpha^(i * (n - 1 - j))`` followed by ``np.bitwise_xor.reduce``, so
-  the 2t Python LFSR passes collapse into a handful of array ops (~30x
-  on a 4 KiB page at t = 65).  The table is built lazily per calculator
-  (the software analogue of the hardware's parallel syndrome datapath)
-  and the byte-serial path stays as the cross-checked reference.
+* **Remainder-first batch path** (:meth:`SyndromeCalculator.syndromes_batch`,
+  behind both ``BCHDecoder.decode`` and ``decode_batch``): the received
+  message part is re-encoded through the lane-parallel
+  :meth:`BCHEncoder.encode_batch` and XOR-ed with the received parity
+  field, giving ``D``.  The stream is ``s(x) = m(x) x^(8 pb) + P_recv(x)``
+  and the re-encoded parity is ``P(x) = (m x^r mod g) x^pad``, so
+  ``s - D`` is a multiple of g(x) and, since ``g(alpha^i) = 0`` for
+  i <= 2t, ``S_i = D(alpha^i)`` exactly (flipped pad bits included).  A
+  word with ``D = 0`` is a codeword and skips the rest.  For the others,
+  every odd syndrome is one gather from the per-code tail power table
+  ``alpha^(i * (8 pb - 1 - p))`` at the set bits of ``D`` (at most
+  ``8 pb`` rows, 1040 at t = 65, instead of every set bit of the page),
+  XOR-reduced per word, and the even syndromes follow in one log-domain
+  gather from ``S_(2^a o) = S_o^(2^a)``.  This is the textbook remainder
+  route (Lin & Costello, *Error Control Coding*, ch. 6), the software
+  analogue of the hardware folding each codeword through small LFSRs.
+  Codes with r < 8, which :class:`BCHEncoder` rejects, take the
+  byte-serial path.
 
 Implementation note: the byte-serial reduction loop computes
 ``c(x) * x^d mod m_i(x)`` (d = deg m_i), so the evaluated remainder carries
@@ -32,6 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.bch.encoder import BCHEncoder
 from repro.bch.params import BCHCodeSpec
 from repro.gf.field import GF2m
 from repro.gf.minpoly import minimal_polynomial
@@ -43,6 +55,21 @@ def _reduction_table(minpoly: int) -> tuple[int, ...]:
     """256-entry table: (v(x) << deg) mod minpoly for byte-serial reduction."""
     deg = poly2_deg(minpoly)
     return tuple(poly2_mod(v << deg, minpoly) for v in range(256))
+
+
+@lru_cache(maxsize=None)
+def _tail_powers(spec: BCHCodeSpec) -> np.ndarray:
+    """Read-only ``(8 * parity_bytes, t)`` uint16 table of the parity
+    field's odd-syndrome terms: entry ``[p, row]`` is
+    ``alpha^(i * (8 pb - 1 - p))`` for ``i = 2 row + 1``, p counted from
+    the MSB of the first parity byte."""
+    field = spec.field()
+    width = 8 * spec.parity_bytes
+    powers = np.arange(width - 1, -1, -1, dtype=np.int64)[:, None]
+    odd = np.arange(1, 2 * spec.t, 2, dtype=np.int64)
+    table = field.exp[powers * odd % field.order].astype(np.uint16)
+    table.flags.writeable = False
+    return table
 
 
 def reduce_codeword(data: bytes, minpoly: int) -> int:
@@ -81,7 +108,13 @@ class SyndromeCalculator:
             self._odd_minpolys[i] = minpoly
             deg = poly2_deg(minpoly)
             self._compensation[i] = self.field.alpha_pow((-i * deg) % order)
-        self._power_table: np.ndarray | None = None
+        # S_i = S_o^(2^a) for i = 2^a * o, o odd: odd-column source and
+        # log multiplier of every index.
+        index = np.arange(1, 2 * spec.t + 1, dtype=np.int64)
+        square = index & -index
+        self._odd_column = (index // square - 1) // 2
+        self._log_multiplier = square
+        self._encoder = BCHEncoder(spec) if spec.r >= 8 else None
 
     def syndromes(self, codeword: bytes) -> list[int]:
         """Return [S_1, ..., S_2t]; all zero iff the word is a codeword.
@@ -103,68 +136,7 @@ class SyndromeCalculator:
             out[i - 1] = field.mul(half, half)
         return out
 
-    # -- vectorized fast path -------------------------------------------------
-
-    def _bit_power_table(self) -> np.ndarray:
-        """Lazy (n_stored, t) uint16 table: entry [j, row] = alpha^(i*(n-1-j))
-        for the column's odd syndrome index i = 2*row + 1.
-
-        Column i+2 is derived from column i by adding 2*(n-1-j) to the
-        exponents (one vector add plus conditional subtracts), avoiding a
-        full 64-bit modulo over the whole table.  The position-major
-        layout makes the per-word gather a contiguous row fetch.
-        """
-        if self._power_table is None:
-            n = self.spec.n_stored
-            order = np.int32(self.field.order)
-            exp_u16 = self.field.exp.astype(np.uint16)
-            pos_exp = ((n - 1 - np.arange(n, dtype=np.int64))
-                       % self.field.order).astype(np.int32)
-            step = pos_exp + pos_exp
-            np.subtract(step, order, out=step, where=step >= order)
-            rows = np.empty((self.spec.t, n), dtype=np.uint16)
-            exps = pos_exp.copy()
-            rows[0] = exp_u16[exps]
-            for row in range(1, self.spec.t):
-                exps += step
-                np.subtract(exps, order, out=exps, where=exps >= order)
-                rows[row] = exp_u16[exps]
-            self._power_table = np.ascontiguousarray(rows.T)
-        return self._power_table
-
-    def _odd_syndromes_of_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Odd syndromes [S_1, S_3, ...] of one unpacked bit vector.
-
-        The gathered (positions, t) block is XOR-folded in halves: each
-        fold is one large contiguous vector op, so the whole reduction
-        costs ~2 passes over the gathered data instead of a strided
-        reduce.
-        """
-        positions = np.flatnonzero(bits)
-        if positions.size == 0:
-            return np.zeros(self.spec.t, dtype=np.int64)
-        gathered = self._bit_power_table()[positions]
-        count = gathered.shape[0]
-        while count > 1:
-            half = count >> 1
-            keep = count - half
-            gathered[:half] ^= gathered[keep:count]
-            count = keep
-        return gathered[0].astype(np.int64)
-
-    def _fill_even_syndromes(self, out: np.ndarray) -> None:
-        """Complete even columns of ``out[..., 2t]`` via S_{2i} = S_i^2."""
-        field = self.field
-        for i in range(2, 2 * self.spec.t + 1, 2):
-            out[..., i - 1] = field.square_vec(out[..., i // 2 - 1])
-
-    def syndromes_vectorized(self, codeword: bytes) -> list[int]:
-        """Fast-path equivalent of :meth:`syndromes` (same return value)."""
-        bits = np.unpackbits(np.frombuffer(codeword, dtype=np.uint8))
-        out = np.zeros(2 * self.spec.t, dtype=np.int64)
-        out[0::2] = self._odd_syndromes_of_bits(bits)
-        self._fill_even_syndromes(out)
-        return out.tolist()
+    # -- remainder-first batch path --------------------------------------------
 
     def syndromes_batch(self, codewords: Sequence[bytes]) -> np.ndarray:
         """Syndromes of a batch of equal-length codewords.
@@ -172,25 +144,42 @@ class SyndromeCalculator:
         Returns an int64 array of shape ``(len(codewords), 2t)``; row b is
         identical to ``syndromes(codewords[b])``.
         """
-        if len(codewords) == 0:
-            return np.zeros((0, 2 * self.spec.t), dtype=np.int64)
-        raw = np.frombuffer(b"".join(codewords), dtype=np.uint8)
-        bits = np.unpackbits(raw.reshape(len(codewords), -1), axis=1)
-        out = np.zeros((len(codewords), 2 * self.spec.t), dtype=np.int64)
-        for b in range(len(codewords)):
-            out[b, 0::2] = self._odd_syndromes_of_bits(bits[b])
-        self._fill_even_syndromes(out)
+        spec = self.spec
+        if len(codewords) == 0 or self._encoder is None:
+            return np.array(
+                [self.syndromes(w) for w in codewords], dtype=np.int64
+            ).reshape(len(codewords), 2 * spec.t)
+        message_bytes = spec.k // 8
+        received = np.frombuffer(b"".join(codewords), dtype=np.uint8)
+        received = received.reshape(len(codewords), -1)[:, message_bytes:]
+        parities = self._encoder.encode_batch(
+            [w[:message_bytes] for w in codewords]
+        )
+        diff = np.frombuffer(b"".join(parities), dtype=np.uint8)
+        diff = diff.reshape(received.shape) ^ received
+        out = np.zeros((len(codewords), 2 * spec.t), dtype=np.int64)
+        dirty = np.flatnonzero(diff.any(axis=1))
+        if dirty.size:
+            out[dirty] = self._from_remainders(diff[dirty])
+        return out
+
+    def _from_remainders(self, diff: np.ndarray) -> np.ndarray:
+        """All 2t syndromes of nonzero parity differences ``D`` (one row
+        of parity bytes each): odd ones gathered from the tail table at
+        the set bits of every row, even ones by log-domain squaring."""
+        rows, bits = np.nonzero(np.unpackbits(diff, axis=1))
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        odd = np.bitwise_xor.reduceat(_tail_powers(self.spec)[bits], starts)
+        field = self.field
+        logs = field.log[odd[:, self._odd_column]]
+        out = field.exp[logs * self._log_multiplier % field.order]
+        out[logs < 0] = 0
         return out
 
     @staticmethod
     def all_zero(syndromes: list[int]) -> bool:
         """Error-free shortcut used by the hardware (Fig. 2 exit arc)."""
         return not any(syndromes)
-
-    @staticmethod
-    def all_zero_batch(syndromes: np.ndarray) -> np.ndarray:
-        """Per-row error-free flags for a :meth:`syndromes_batch` result."""
-        return ~syndromes.any(axis=1)
 
     def syndromes_of_error_positions(self, positions: list[int]) -> list[int]:
         """Syndromes of a pure error pattern (for tests / fault injection).

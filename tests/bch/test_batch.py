@@ -23,6 +23,33 @@ def _random_weights(t: int, rng: np.random.Generator, samples: int = 6):
     return sorted(set(extremes + drawn))
 
 
+def _corrupted_words(spec, rng: np.random.Generator) -> list[bytes]:
+    """One fresh codeword per drawn weight, flipped anywhere in the
+    stored stream (message, parity and pad bits)."""
+    encoder = BCHEncoder(spec)
+    words = []
+    for weight in _random_weights(spec.t, rng):
+        codeword = encoder.encode_codeword(rng.bytes(spec.k // 8))
+        positions = rng.choice(spec.n_stored, size=weight, replace=False)
+        words.append(flip_bits(codeword, positions.tolist()))
+    return words
+
+
+def _assert_matches_reference(spec, words, results, decoder) -> None:
+    """``results`` and ``decoder.stats`` equal the byte-serial reference
+    decoder's, word for word (permissive mode)."""
+    scalar_decoder = BCHDecoder(spec, vectorized=False)
+    for word, result in zip(words, results, strict=True):
+        scalar_result = scalar_decoder.decode(word, strict=False)
+        assert scalar_result.data == result.data
+        assert scalar_result.corrected_bits == result.corrected_bits
+        assert scalar_result.error_positions == result.error_positions
+        assert scalar_result.success == result.success
+        assert scalar_result.early_exit == result.early_exit
+    # Aggregate decoder telemetry also agrees word-for-word.
+    assert decoder.stats == scalar_decoder.stats
+
+
 @pytest.mark.parametrize("k,t", SPECS)
 class TestBatchAgainstScalar:
     def test_encode_batch_matches_scalar(self, k, t, rng):
@@ -35,46 +62,27 @@ class TestBatchAgainstScalar:
             encoder.encode_codeword(m) for m in messages
         ]
 
-    def test_syndromes_vectorized_and_batch_match_reference(self, k, t, rng):
+    def test_syndromes_batch_matches_reference(self, k, t, rng):
         spec = design_code(k, t)
-        encoder = BCHEncoder(spec)
         calc = BCHDecoder(spec).syndrome_calculator
-        words = []
-        for weight in _random_weights(t, rng):
-            codeword = encoder.encode_codeword(rng.bytes(k // 8))
-            positions = rng.choice(
-                spec.n_stored, size=weight, replace=False
-            ).tolist()
-            words.append(flip_bits(codeword, positions))
+        words = _corrupted_words(spec, rng)
         batch = calc.syndromes_batch(words)
-        for row, word in zip(batch, words):
-            reference = calc.syndromes(word)
-            assert calc.syndromes_vectorized(word) == reference
-            assert row.tolist() == reference
+        assert batch.tolist() == [calc.syndromes(word) for word in words]
 
     def test_decode_batch_matches_scalar_permissive(self, k, t, rng):
         spec = design_code(k, t)
-        encoder = BCHEncoder(spec)
-        batch_decoder = BCHDecoder(spec)
-        scalar_decoder = BCHDecoder(spec, vectorized=False)
-        words = []
-        for weight in _random_weights(t, rng):
-            codeword = encoder.encode_codeword(rng.bytes(k // 8))
-            positions = rng.choice(
-                spec.n_stored, size=weight, replace=False
-            ).tolist()
-            words.append(flip_bits(codeword, positions))
-        batch_results = batch_decoder.decode_batch(words, strict=False)
-        for word, batch_result in zip(words, batch_results):
-            scalar_result = scalar_decoder.decode(word, strict=False)
-            assert scalar_result.data == batch_result.data
-            assert scalar_result.corrected_bits == batch_result.corrected_bits
-            assert (scalar_result.error_positions
-                    == batch_result.error_positions)
-            assert scalar_result.success == batch_result.success
-            assert scalar_result.early_exit == batch_result.early_exit
-        # Aggregate decoder telemetry also agrees word-for-word.
-        assert batch_decoder.stats == scalar_decoder.stats
+        words = _corrupted_words(spec, rng)
+        decoder = BCHDecoder(spec)
+        _assert_matches_reference(
+            spec, words, decoder.decode_batch(words, strict=False), decoder
+        )
+
+    def test_decode_matches_scalar_permissive(self, k, t, rng):
+        spec = design_code(k, t)
+        words = _corrupted_words(spec, rng)
+        decoder = BCHDecoder(spec)
+        results = [decoder.decode(word, strict=False) for word in words]
+        _assert_matches_reference(spec, words, results, decoder)
 
 
 class TestBatchBehaviour:

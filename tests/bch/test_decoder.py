@@ -107,3 +107,31 @@ class TestDecoder:
         result = decoder.decode(flip_bits(codeword, positions))
         assert result.data == message
         assert result.corrected_bits == 12
+
+
+class TestSharedTables:
+    def test_decoders_share_tables_until_cache_clear(self, page_spec, rng):
+        from repro.bch import chien, syndrome
+
+        codeword = BCHEncoder(page_spec).encode_codeword(rng.bytes(4096))
+        word = flip_bits(codeword, [3, 5000, 32800])
+        first, second = BCHDecoder(page_spec), BCHDecoder(page_spec)
+        assert first.decode(word).error_positions == (3, 5000, 32800)
+        exponents = chien._degree_exponents(page_spec)
+        tail = syndrome._tail_powers(page_spec)
+        misses = (chien._degree_exponents.cache_info().misses,
+                  syndrome._tail_powers.cache_info().misses)
+        assert second.decode(word).error_positions == (3, 5000, 32800)
+        assert (chien._degree_exponents.cache_info().misses,
+                syndrome._tail_powers.cache_info().misses) == misses
+        assert exponents.shape == (page_spec.t + 1, page_spec.n_stored)
+        assert tail.shape == (8 * page_spec.parity_bytes, page_spec.t)
+        assert not exponents.flags.writeable and not tail.flags.writeable
+
+        chien._degree_exponents.cache_clear()
+        syndrome._tail_powers.cache_clear()
+        assert chien._degree_exponents.cache_info().currsize == 0
+        assert syndrome._tail_powers.cache_info().currsize == 0
+        assert second.decode(word).error_positions == (3, 5000, 32800)
+        assert chien._degree_exponents(page_spec) is not exponents
+        assert syndrome._tail_powers(page_spec) is not tail

@@ -91,3 +91,38 @@ class TestBatchEncodeProperty:
         assert encoder.encode_batch(messages) == [
             encoder.encode(message) for message in messages
         ]
+
+
+class TestBatchSyndromeProperty:
+    """The remainder-first batch syndromes equal the byte-serial reference
+    row for row, for every code shape and error pattern: flips anywhere
+    in the stored stream or only in the parity tail (m = 11 codes at
+    k = 1000 and 1024 carry pad bits), weights 0..t+3, so words past the
+    correction capability are covered too."""
+
+    @given(
+        k=st.sampled_from([32768, 1024, 1000]),
+        t=st.integers(min_value=1, max_value=65),
+        batch=st.integers(min_value=1, max_value=24),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_syndromes_batch_equals_byte_serial(self, k, t, batch, seed):
+        spec = design_code(k, t)
+        encoder = BCHEncoder(spec)
+        calc = BCHDecoder(spec).syndrome_calculator
+        rng = np.random.default_rng(seed)
+        words = []
+        for message in (rng.bytes(k // 8) for _ in range(batch)):
+            low = int(rng.choice([0, spec.k]))  # whole stream or parity tail
+            weight = int(rng.integers(0, t + 4))
+            positions = low + rng.choice(
+                spec.n_stored - low, size=min(weight, spec.n_stored - low),
+                replace=False,
+            )
+            words.append(
+                flip_bits(encoder.encode_codeword(message), positions.tolist())
+            )
+        assert calc.syndromes_batch(words).tolist() == [
+            calc.syndromes(word) for word in words
+        ]

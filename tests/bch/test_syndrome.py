@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bch.decoder import BCHDecoder
 from repro.bch.encoder import BCHEncoder
 from repro.bch.params import design_code
 from repro.bch.reference import naive_syndromes
@@ -78,3 +79,35 @@ class TestSyndromes:
         syndromes = calc.syndromes_of_error_positions([pos])
         for i in range(1, 2 * small_spec.t + 1):
             assert syndromes[i - 1] == field.alpha_pow(i * exponent)
+
+
+class TestBatchSyndromes:
+    def test_generator_multiple_in_parity_tail_is_clean(self):
+        """A parity difference D = g(x) * x^j (j < pad) is nonzero yet
+        every syndrome vanishes: the batch path must report all zeros,
+        like the byte-serial reference, not just ``D != 0``."""
+        spec = design_code(1000, 1)
+        assert spec.pad_bits > 0
+        codeword = BCHEncoder(spec).encode_codeword(bytes(spec.k // 8))
+        tail_end = spec.n_stored - 1  # stream bit of x^0
+        positions = [
+            tail_end - e for e in range(spec.r + 1) if spec.generator >> e & 1
+        ]
+        word = flip_bits(codeword, positions)
+        assert word != codeword
+        calc = SyndromeCalculator(spec)
+        assert calc.syndromes(word) == [0] * (2 * spec.t)
+        assert calc.syndromes_batch([word, codeword]).tolist() == [
+            [0] * (2 * spec.t)
+        ] * 2
+        result = BCHDecoder(spec).decode(word)
+        assert result.early_exit and result.data == word[: spec.k // 8]
+
+    def test_short_parity_codes_take_the_byte_serial_path(self, rng):
+        spec = design_code(8, 1)
+        assert spec.r < 8
+        calc = SyndromeCalculator(spec)
+        words = [rng.bytes(spec.k // 8 + spec.parity_bytes) for _ in range(4)]
+        assert calc.syndromes_batch(words).tolist() == [
+            calc.syndromes(word) for word in words
+        ]
