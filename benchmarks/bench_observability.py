@@ -137,9 +137,11 @@ def _run(
     recorder = TraceRecorder() if mode == "traced" else None
     engine = SimEngine()
     sched = _pristine_sched if mode == "pristine" else _live_sched
-    kwargs = {} if mode == "pristine" else {"recorder": recorder}
+    # The frozen replica still selects its flat core by flag; the live
+    # core has no other dispatcher.
+    kwargs = {"flat": True} if mode == "pristine" else {"recorder": recorder}
     core = sched.SchedulerCore(
-        engine, topology, sched.PipelineConfig.full(), flat=True, **kwargs
+        engine, topology, sched.PipelineConfig.full(), **kwargs
     )
     core.start()
     engine.run()  # park the resident dispatchers before the stream

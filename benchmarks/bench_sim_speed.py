@@ -9,20 +9,23 @@ reservation.
 Three workload shapes per topology (1x1 up to 8x8 channels x dies):
 
 * ``reads-closed`` / ``writes-closed`` — homogeneous closed batches at
-  queue depth 32: the die-striped FTL's bread-and-butter pattern, and
-  the shape the batched stripe-reservation fast path accelerates.  The
-  ``fast`` mode runs it; ``heap``/``calendar`` pin the generator path
-  by disabling ``fast_batch``.
+  queue depth 32: the die-striped FTL's bread-and-butter pattern.  The
+  ``fast`` mode runs it through ``CommandScheduler`` (the live flat
+  dispatch core).
 * ``mixed-open`` — an open-loop 70/30 read/program stream with paced
   2 us arrivals through a 256-deep in-flight window, transfer-heavy
   phase shapes (bus-saturated: the thundering-herd regime the handoff
-  signals eliminated).  This is the acceptance shape.  ``fast`` /
-  ``fast-cal`` drive it through the flat dispatch core
-  (``SchedulerCore.submit_stream`` on the heap / calendar backends):
+  signals eliminated).  This is the acceptance shape.  ``fast`` drives
+  it through the flat dispatch core (``SchedulerCore.submit_stream``):
   coroutine-free state-machine frames with same-instant wakes and
   strict-minimum self-transitions short-circuiting the event list.
-  The run asserts every command went through the flat core
-  (``fast_commands``), not a silent generator fallback.
+  The run asserts the flat core dispatched every command
+  (``fast_commands``).
+
+The ``oracle`` mode runs every shape on the frozen generator-worker
+dispatcher (``tests/ssd/_generator_oracle.py``, imported through the
+path bootstrap below): resident coroutines parked on handoff signals,
+on the same heap event list as the live engine.
 
 Every mode is measured against ``legacy`` — a verbatim replica of the
 pre-PR engine *and* scheduler core (``_legacy_sim``: dataclass events,
@@ -37,10 +40,9 @@ Two acceptance gates on the 4ch x 4die ``mixed-open`` stream:
   PR time; CI enforces the regression floor ``MIN_SPEEDUP_FLOOR`` (2x)
   on every run (shared-runner wall clocks are noisy; the floor leaves
   headroom while still catching a real regression);
-* flat vs generator: the flat core must beat the resident generator
-  workers by ``MIN_FAST_SPEEDUP_FLOOR`` (1.5x, target
-  ``MIN_FAST_SPEEDUP_TARGET`` 2x) on its best backend (same-backend
-  ratios, both reported), CI-enforced like the legacy gate.
+* flat vs generator: the flat core must beat the frozen generator
+  oracle by ``MIN_FAST_SPEEDUP_FLOOR`` (1.5x, target
+  ``MIN_FAST_SPEEDUP_TARGET`` 2x), CI-enforced like the legacy gate.
 
 Results append to ``benchmarks/out/BENCH_sim_speed.json`` — the
 sim-speed trajectory.
@@ -59,8 +61,12 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent / "tests" / "ssd"))
 
 from _trajectory import append_run  # noqa: E402  (path bootstrap above)
+from _generator_oracle import (  # noqa: E402  (path bootstrap above)
+    GeneratorSchedulerCore,
+)
 from _legacy_sim import (  # noqa: E402  (path bootstrap above)
     LegacySchedulerCore,
     LegacySimEngine,
@@ -78,18 +84,17 @@ from repro.ssd.scheduler import (  # noqa: E402
 )
 from repro.ssd.topology import SsdTopology  # noqa: E402
 
-#: CI regression floor on the 4ch x 4die mixed-open speedup (either
-#: backend): wall-clock ratios on shared runners are noisy, so the
-#: enforced floor sits below the target this PR demonstrated.
+#: CI regression floor on the 4ch x 4die mixed-open speedup (best
+#: mode): wall-clock ratios on shared runners are noisy, so the
+#: enforced floor sits below the target this trajectory demonstrated.
 MIN_SPEEDUP_FLOOR = 2.0
 
 #: The tentpole target demonstrated when this trajectory started.
 MIN_SPEEDUP_TARGET = 3.0
 
-#: CI floor on the 4x4 mixed-open flat-core speedup over the resident
-#: generator workers (same backend, same process, same stream,
-#: repeats interleaved in one benchmark run; best backend gates, like
-#: the legacy-speedup gate above).
+#: CI floor on the 4x4 mixed-open flat-core speedup over the frozen
+#: generator oracle (same event list, same process, same stream,
+#: repeats interleaved in one benchmark run).
 MIN_FAST_SPEEDUP_FLOOR = 1.5
 
 #: The flat-dispatch target when the fast trajectory point landed.
@@ -162,10 +167,10 @@ def _run_open(mode: str, topology: SsdTopology, commands) -> tuple[float, float]
         start = time.perf_counter()
         makespan = engine.run()
         return time.perf_counter() - start, makespan
-    flat = mode in ("fast", "fast-cal")
-    backend = "calendar" if mode in ("calendar", "fast-cal") else "heap"
-    engine = SimEngine(event_list=backend)
-    core = SchedulerCore(engine, topology, PipelineConfig.full(), flat=flat)
+    flat = mode == "fast"
+    engine = SimEngine()
+    core_cls = SchedulerCore if flat else GeneratorSchedulerCore
+    core = core_cls(engine, topology, PipelineConfig.full())
     core.start()
     engine.run()  # park the resident dispatchers before the stream
     core.submit_stream(commands, window=OPEN_WINDOW, arrival_s=OPEN_ARRIVAL_S)
@@ -197,9 +202,9 @@ def _run_closed(mode: str, topology: SsdTopology, commands) -> tuple[float, floa
         start = time.perf_counter()
         result = scheduler.run(commands, queue_depth=CLOSED_QD)
         return time.perf_counter() - start, result.makespan_s
-    # Generator path on the chosen event-list backend.
-    engine = SimEngine(event_list=mode)
-    core = SchedulerCore(engine, topology, PipelineConfig.full())
+    # The frozen generator oracle.
+    engine = SimEngine()
+    core = GeneratorSchedulerCore(engine, topology, PipelineConfig.full())
     engine.spawn(closed_admission(core, commands, CLOSED_QD))
     core.start()
     start = time.perf_counter()
@@ -237,11 +242,11 @@ def run_benchmark(quick: bool = False) -> tuple[str, dict]:
     ops = QUICK_OPS if quick else OPS
     repeats = 2 if quick else 3
     topologies = [t for t in TOPOLOGIES if not (quick and t == (8, 8))]
+    modes = ("legacy", "oracle", "fast")
     shapes = (
-        ("reads-closed", _run_closed, 1.0, ("legacy", "heap", "calendar", "fast")),
-        ("writes-closed", _run_closed, 0.0, ("legacy", "heap", "calendar", "fast")),
-        ("mixed-open", _run_open, 0.7,
-         ("legacy", "heap", "calendar", "fast", "fast-cal")),
+        ("reads-closed", _run_closed, 1.0, modes),
+        ("writes-closed", _run_closed, 0.0, modes),
+        ("mixed-open", _run_open, 0.7, modes),
     )
     lines = [
         "Simulation speed: simulated ops/sec, new engine vs verbatim "
@@ -293,20 +298,12 @@ def run_benchmark(quick: bool = False) -> tuple[str, dict]:
                     f"{label}/{shape}: modes disagree on makespan: {makespans}"
                 )
     gate = max(gate_speedups.values()) if gate_speedups else 0.0
-    # Flat core vs the resident generator workers, same backend each.
-    fast_gate_speedups: dict[str, float] = {}
-    for fast_mode, gen_mode, key in (
-        ("fast", "heap", "heap"),
-        ("fast-cal", "calendar", "calendar"),
-    ):
-        if fast_mode in gate_walls and gen_mode in gate_walls:
-            fast_gate_speedups[key] = gate_walls[gen_mode] / gate_walls[fast_mode]
-    fast_gate = max(fast_gate_speedups.values()) if fast_gate_speedups else 0.0
+    # Flat core vs the frozen generator oracle.
+    fast_gate = gate_walls["oracle"] / gate_walls["fast"]
     metrics = {
         "gate_speedup": gate,
         "gate_speedups": gate_speedups,
         "fast_gate_speedup": fast_gate,
-        "fast_gate_speedups": fast_gate_speedups,
         "results": results,
         "config": {
             "ops": ops,
@@ -319,16 +316,12 @@ def run_benchmark(quick: bool = False) -> tuple[str, dict]:
     }
     lines += [
         "",
-        f"gate (4x4 mixed-open, best backend): {gate:.2f}x vs pre-PR "
+        f"gate (4x4 mixed-open, best mode): {gate:.2f}x vs pre-PR "
         f"(target {MIN_SPEEDUP_TARGET:.1f}x at PR time, CI floor "
         f"{MIN_SPEEDUP_FLOOR:.1f}x)",
-        "fast gate (4x4 mixed-open, flat vs generator, best backend): "
-        + ", ".join(
-            f"{value:.2f}x on {backend}"
-            for backend, value in fast_gate_speedups.items()
-        )
-        + f" (target {MIN_FAST_SPEEDUP_TARGET:.1f}x, CI floor "
-        f"{MIN_FAST_SPEEDUP_FLOOR:.1f}x)",
+        f"fast gate (4x4 mixed-open, flat vs generator oracle): "
+        f"{fast_gate:.2f}x (target {MIN_FAST_SPEEDUP_TARGET:.1f}x, CI "
+        f"floor {MIN_FAST_SPEEDUP_FLOOR:.1f}x)",
     ]
     return "\n".join(lines) + "\n", metrics
 
@@ -357,10 +350,6 @@ def _save(text: str, metrics: dict, quick: bool) -> None:
             "fast_gate_speedup_vs_generator": round(
                 metrics["fast_gate_speedup"], 3
             ),
-            "fast_gate_speedups": {
-                backend: round(value, 3)
-                for backend, value in metrics["fast_gate_speedups"].items()
-            },
             "results": metrics["results"],
         },
         quick,
@@ -379,8 +368,8 @@ def _check(metrics: dict) -> list[str]:
     if metrics["fast_gate_speedup"] < MIN_FAST_SPEEDUP_FLOOR:
         failures.append(
             f"4x4 mixed-open flat-core speedup "
-            f"{metrics['fast_gate_speedup']:.2f}x vs the generator workers "
-            f"(best backend), below the {MIN_FAST_SPEEDUP_FLOOR:.1f}x floor"
+            f"{metrics['fast_gate_speedup']:.2f}x vs the generator oracle, "
+            f"below the {MIN_FAST_SPEEDUP_FLOOR:.1f}x floor"
         )
     return failures
 
@@ -404,7 +393,7 @@ if __name__ == "__main__":
     print(
         f"sim-speed floor (>= {MIN_SPEEDUP_FLOOR:.1f}x on 4x4 mixed-open): "
         f"{run_metrics['gate_speedup']:.2f}x; fast floor "
-        f"(>= {MIN_FAST_SPEEDUP_FLOOR:.1f}x flat vs generator): "
+        f"(>= {MIN_FAST_SPEEDUP_FLOOR:.1f}x flat vs generator oracle): "
         f"{run_metrics['fast_gate_speedup']:.2f}x "
         f"{'FAIL' if run_failures else 'PASS'}"
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 
 from repro import units
 from repro.errors import SimulationError
@@ -58,8 +59,13 @@ class CommandPhase:
     hold_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.duration_s < 0:
-            raise SimulationError("phase duration must be non-negative")
+        # The chained comparison rejects NaN and infinity with negatives;
+        # a finite duration then bounds the hold time too.
+        if not 0.0 <= self.duration_s < inf:
+            raise SimulationError(
+                "phase duration must be finite and non-negative, not "
+                f"{self.duration_s!r}"
+            )
         if self.hold_s is not None and not 0 <= self.hold_s <= self.duration_s:
             raise SimulationError(
                 "phase hold time must lie in [0, duration]"

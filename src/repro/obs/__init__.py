@@ -10,9 +10,8 @@ telemetry layer that does, in three instruments:
 :class:`~repro.obs.trace.TraceRecorder` passed to a
 :class:`~repro.ssd.scheduler.SchedulerCore` (or an
 :class:`~repro.ssd.session.SsdSession`) records one span per resource
-reservation, on both dispatch paths (generator workers and the flat
-``_flat_burst`` core).  The span model mirrors the scheduler's own
-accounting exactly:
+reservation the flat ``_flat_burst`` dispatch core makes.  The span
+model mirrors the scheduler's own accounting exactly:
 
 * a **plane** span per array phase (sense / ISPP program / erase, and
   the tRCBSY cache handoff) — these sum to ``die_busy_s``;
@@ -52,7 +51,7 @@ and queue-depth occupancy per window) come from
 :class:`~repro.obs.counters.CounterRegistry` snapshot of device
 health: host reads/writes/trims, media page reads/programs/erases,
 corrected bits and decode failures from the BCH path, GC migrations
-and write amplification, per-die wear, queue-pair and dispatch-path
+and write amplification, per-die wear, queue-pair and dispatch
 counters.  ``SsdSession.metrics()`` assembles one; the ``sys_observe``
 experiment (CLI: ``python -m repro run sys_observe``) reports it next
 to the trace reconciliation.

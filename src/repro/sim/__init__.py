@@ -1,12 +1,6 @@
 """Discrete-event simulation substrate for system-level experiments."""
 
-from repro.sim.engine import (
-    CalendarEventList,
-    HeapEventList,
-    Signal,
-    SimEngine,
-    Process,
-)
+from repro.sim.engine import HeapEventList, Signal, SimEngine, Process
 from repro.sim.stats import LatencyStats, ThroughputStats
 from repro.sim.host import (
     HostWorkload,
@@ -21,7 +15,6 @@ from repro.sim.host import (
 
 __all__ = [
     "SimEngine",
-    "CalendarEventList",
     "HeapEventList",
     "Signal",
     "Process",

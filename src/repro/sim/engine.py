@@ -11,35 +11,16 @@ resource arbitration (channel buses, queue-depth admission) in the SSD
 command scheduler.  Parked processes resume at the firing instant in
 park order, so runs stay deterministic.
 
-Event-list design
------------------
+Event list and determinism contract
+-----------------------------------
 
 Events are plain ``(time_s, sequence, process)`` tuples ordered
 lexicographically; ``sequence`` comes from a monotone counter, so the
-total order is *time-major, FIFO within a timestamp*.  Two
-interchangeable event-list backends implement that order:
-
-* ``"heap"`` — a single binary heap (`heapq`), the classic textbook
-  structure and the bit-exact reference backend;
-* ``"calendar"`` (default) — a calendar queue tuned to the NAND phase
-  spectrum (µs-scale bus transfers up to ms-scale erases).  Events
-  hash into buckets by ``int(time_s * inv_width)``; each bucket is a
-  small binary heap, and a second heap orders the live bucket indices.
-  Pops cost ``O(log b)`` in the *bucket* size (typically a handful of
-  co-scheduled phases) instead of ``O(log n)`` in the whole event
-  population.
-
-Determinism contract
---------------------
-
-Both backends produce the *identical* pop sequence: the bucket index
-``int(t * inv_width)`` is monotone non-decreasing in ``t`` and equal
-times map to equal indices, so ordering buckets by index and entries
-within a bucket by ``(time_s, sequence)`` is exactly the global
-``(time_s, sequence)`` order.  Every equivalence oracle from earlier
-PRs therefore holds bit-for-bit regardless of backend, and a property
-test (``tests/sim/test_event_lists.py``) checks the orderings agree on
-randomized schedules including same-timestamp FIFO ties.
+total order is *time-major, FIFO within a timestamp*.  The event list
+is one binary heap (:class:`HeapEventList`, C ``heapq``): the pending
+set of an SSD session is a few hundred events (resident frames plus
+arrivals), well below the population where bucketed structures beat
+``heappush``/``heappop``.
 
 Signals come in two wake disciplines:
 
@@ -73,19 +54,20 @@ share the queue, the clock and the sequence counter with generator
 processes, so their events interleave in exactly the global
 ``(time_s, sequence)`` order — a flat transliteration of a generator
 process that allocates sequence numbers at the same points produces
-bit-identical schedules (the SSD scheduler's fast path is equivalence-
-tested on exactly this contract).  :meth:`SimEngine.schedule_at` is the
+bit-identical schedules (the SSD scheduler's flat dispatch core is
+equivalence-tested against a frozen generator-worker oracle on exactly
+this contract).  :meth:`SimEngine.schedule_at` is the
 bulk entry point for scheduling frames at absolute times;
 :meth:`SimEngine.run` remains the run-until-quiescent drain.
 
-Two features exist for *persistent* sessions (long-lived worker
-processes that outlive any one batch of work, e.g. the SSD session's
-per-plane dispatch workers):
+Two features exist for *persistent* sessions (long-lived processes
+that outlive any one batch of work, e.g. a host reaper parked on the
+SSD session's completion doorbell):
 
 * a **daemon** signal (``engine.signal(daemon=True)``) marks an idle
-  park as intentional — a worker parked on its daemon work signal does
-  not count toward deadlock detection, so :meth:`SimEngine.run` can
-  drain to an idle state and return while the workers stay resident;
+  park as intentional — a process parked on a daemon signal does not
+  count toward deadlock detection, so :meth:`SimEngine.run` can drain
+  to an idle state and return while the process stays resident;
 * :meth:`SimEngine.rebase` resets the clock of an *idle* engine to
   zero.  Parked processes carry no scheduled times, so an idle engine's
   clock is an arbitrary offset; rebasing lets a resident session replay
@@ -109,11 +91,6 @@ Process = Generator[Union[float, "Signal"], None, None]
 #: True by ``pytest --sanitize`` (root conftest) so every engine a test
 #: constructs comes up armed without threading a flag through helpers.
 SANITIZE_DEFAULT = False
-
-#: Default calendar bucket width: 64 µs spans a typical co-scheduled
-#: phase cluster (bus transfers, ECC sections) without collapsing the
-#: whole run into one bucket.
-DEFAULT_BUCKET_WIDTH_S = 64e-6
 
 
 class Signal:
@@ -210,7 +187,7 @@ class Signal:
 
 
 class HeapEventList:
-    """Reference event list: one global binary heap of event tuples.
+    """The event list: one global binary heap of event tuples.
 
     ``push``/``pop`` are per-instance `functools.partial` bindings of
     the C ``heappush``/``heappop`` with the heap pre-bound, so the run
@@ -226,9 +203,6 @@ class HeapEventList:
         self.push = partial(heapq.heappush, self._heap)
         self.pop = partial(heapq.heappop, self._heap)
 
-    def peek_time(self) -> float:
-        return self._heap[0][0]
-
     def __len__(self) -> int:
         return len(self._heap)
 
@@ -236,100 +210,8 @@ class HeapEventList:
         return bool(self._heap)
 
 
-class CalendarEventList:
-    """Calendar queue: dict of per-bucket heaps plus a live-index heap.
-
-    Bucket index is ``int(time_s * inv_width)`` — monotone in time and
-    equal for equal times, so (bucket index, in-bucket ``(time, seq)``
-    heap order) reproduces the global ``(time, seq)`` order exactly.
-    """
-
-    __slots__ = ("_buckets", "_order", "_inv_width", "_head", "push", "pop")
-
-    def __init__(self, bucket_width_s: float = DEFAULT_BUCKET_WIDTH_S) -> None:
-        if bucket_width_s <= 0:
-            raise SimulationError("bucket width must be positive")
-        buckets: dict[int, list[tuple[float, int, Process]]] = {}
-        order: list[int] = []
-        inv_width = 1.0 / bucket_width_s
-        #: The current (smallest-index) bucket, held out of the dict as
-        #: a ``[index, bucket]`` cell: the clock lives inside one bucket
-        #: for many events in a row, so the steady-state pop touches
-        #: only this cell (no dict or index-heap traffic), and pushes at
-        #: the current instant (signal wakes) hit the index-equality
-        #: fast path.  Invariant: every index in ``order`` is greater
-        #: than ``head[0]``, so a non-empty head bucket always holds the
-        #: global minimum.
-        head: list = [-1, None]
-        self._buckets = buckets
-        self._order = order
-        self._inv_width = inv_width
-        self._head = head
-        bucket_get = buckets.get
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        # push/pop close over the structures directly: closure loads
-        # beat self-attribute lookups in the two calls the run loop
-        # makes per event.  Built once per event list — not per-event
-        # churn.
-        def push(entry: tuple[float, int, Process]) -> None:
-            index = int(entry[0] * inv_width)
-            if index == head[0]:
-                heappush(head[1], entry)
-                return
-            if index < head[0]:
-                # Only reachable with a stale head (e.g. pushing after
-                # a drain-and-rebase): demote whatever the head held
-                # and restart it at the new index.
-                old = head[1]
-                if old:
-                    buckets[head[0]] = old
-                    heappush(order, head[0])
-                head[0] = index
-                head[1] = [entry]
-                return
-            bucket = bucket_get(index)
-            if bucket is None:
-                buckets[index] = [entry]
-                heappush(order, index)
-            else:
-                heappush(bucket, entry)
-
-        def pop() -> tuple[float, int, Process]:
-            bucket = head[1]
-            if bucket:
-                return heappop(bucket)
-            index = heappop(order)  # IndexError here == drained
-            bucket = buckets.pop(index)
-            head[0] = index
-            head[1] = bucket
-            return heappop(bucket)
-
-        self.push = push
-        self.pop = pop
-
-    def peek_time(self) -> float:
-        head_bucket = self._head[1]
-        if head_bucket:
-            return head_bucket[0][0]
-        return self._buckets[self._order[0]][0][0]
-
-    def __len__(self) -> int:
-        in_buckets = sum(len(bucket) for bucket in self._buckets.values())
-        head_bucket = self._head[1]
-        return in_buckets + (len(head_bucket) if head_bucket else 0)
-
-    def __bool__(self) -> bool:
-        return bool(self._head[1]) or bool(self._order)
-
-
 class SimEngine:
-    """Single-clock event loop.
-
-    ``event_list`` selects the backend: ``"calendar"`` (default) or
-    ``"heap"``.  Both produce bit-identical runs (see module docstring);
-    heap is kept as the reference for cross-backend equivalence tests.
+    """Single-clock event loop over one :class:`HeapEventList`.
 
     ``sanitize`` arms a :class:`~repro.sim.sanitizer.DesSanitizer` on
     :attr:`sanitizer` (``None`` = follow :data:`SANITIZE_DEFAULT`).  An
@@ -344,23 +226,8 @@ class SimEngine:
         "sanitizer",
     )
 
-    def __init__(
-        self,
-        event_list: str = "calendar",
-        bucket_width_s: float = DEFAULT_BUCKET_WIDTH_S,
-        sanitize: bool | None = None,
-    ) -> None:
-        if event_list == "calendar":
-            self._queue: CalendarEventList | HeapEventList = CalendarEventList(
-                bucket_width_s
-            )
-        elif event_list == "heap":
-            self._queue = HeapEventList()
-        else:
-            raise SimulationError(
-                f"unknown event list backend {event_list!r} "
-                "(expected 'calendar' or 'heap')"
-            )
+    def __init__(self, sanitize: bool | None = None) -> None:
+        self._queue = HeapEventList()
         self._seq = 0
         self.now_s = 0.0
         self.events_processed = 0

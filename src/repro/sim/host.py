@@ -96,10 +96,9 @@ class WorkloadResult:
     the open-loop runner — same reporting surface either way.
 
     The SSD runners also surface the scheduler's own accounting:
-    ``fast_commands`` / ``fallback_commands`` say which dispatch
-    machinery the run's commands went through (flat core vs generator
-    workers), and ``die_busy_s`` / ``channel_busy_s`` / ``ecc_busy_s``
-    are the per-resource busy-time totals attributable to this run.
+    ``fast_commands`` counts the commands the run dispatched, and
+    ``die_busy_s`` / ``channel_busy_s`` / ``ecc_busy_s`` are the
+    per-resource busy-time totals attributable to this run.
     """
 
     name: str
@@ -110,7 +109,6 @@ class WorkloadResult:
     queue_latency: LatencyStats = field(default_factory=LatencyStats)
     service_latency: LatencyStats = field(default_factory=LatencyStats)
     fast_commands: int = 0
-    fallback_commands: int = 0
     die_busy_s: list[float] = field(default_factory=list)
     channel_busy_s: list[float] = field(default_factory=list)
     ecc_busy_s: list[float] = field(default_factory=list)
@@ -421,12 +419,10 @@ def run_ssd_workload(
     )
     core = ftl.session.core
     fast_before = core.fast_commands
-    fallback_before = core.fallback_commands
     engine = SimEngine()
     engine.spawn(_ssd_process(ftl, workload, result))
     result.elapsed_s = engine.run()
     result.fast_commands = core.fast_commands - fast_before
-    result.fallback_commands = core.fallback_commands - fallback_before
     return result
 
 
@@ -527,7 +523,6 @@ def run_open_loop_workload(
     page_bytes = ftl.geometry.page_data_bytes
     core = session.core
     fast_before = core.fast_commands
-    fallback_before = core.fallback_commands
     die_before = list(core.die_busy_s)
     channel_before = list(core.channel_busy_s)
     ecc_before = list(core.ecc_busy_s)
@@ -593,7 +588,6 @@ def run_open_loop_workload(
         observe(completion)
     result.corrected_bits = ftl.stats.corrected_bits
     result.fast_commands = core.fast_commands - fast_before
-    result.fallback_commands = core.fallback_commands - fallback_before
     result.die_busy_s = [
         busy - before for busy, before in zip(core.die_busy_s, die_before)
     ]

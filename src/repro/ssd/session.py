@@ -144,13 +144,11 @@ class _IoRecord:
 
 @dataclass(frozen=True)
 class FastPathStats:
-    """Which dispatch machinery the session's commands went through.
+    """Dispatch counts for the session's commands.
 
-    ``fast`` counts commands dispatched by the flat (coroutine-free)
-    core, ``fallback`` those run by the generator workers.  A session is
-    all-flat or all-generator (``fast_batch`` at construction), so one
-    side is always zero — benchmarks assert ``fast > 0`` to prove the
-    flat core actually engaged rather than silently falling back.
+    ``fast`` counts commands dispatched by the session's core.  The flat
+    dispatch core is the only dispatcher, so ``fallback`` is always 0;
+    the field stays for callers that assert on it.
     """
 
     fast: int
@@ -193,7 +191,6 @@ class SsdSession:
         ssd: "SsdDevice | None" = None,
         engine: SimEngine | None = None,
         queue_depth: int | None = None,
-        fast_batch: bool = True,
         recorder=None,
         gc_mode: str = "sync",
         gc_config: GcConfig | None = None,
@@ -212,20 +209,17 @@ class SsdSession:
         self.ssd = ssd
         self.engine = engine or SimEngine()
         self.queue_depth = queue_depth
-        self.fast_batch = fast_batch
         self.gc_mode = gc_mode
         self.gc_config = gc_config if gc_config is not None else GcConfig()
         #: Optional :class:`~repro.obs.trace.TraceRecorder`; spans cover
         #: every command this session dispatches (see ``repro.obs``).
         self.recorder = recorder
         self.core = SchedulerCore(
-            self.engine, ssd.topology, ssd.pipeline, flat=fast_batch,
-            recorder=recorder,
+            self.engine, ssd.topology, ssd.pipeline, recorder=recorder,
             host_priority=(gc_mode == "background"),
         )
         self.core.start()
-        # Park the resident dispatchers (generator workers on their
-        # wake-up signals, flat frames on their idle flags) so the
+        # Park the resident dispatchers on their idle flags so the
         # engine is idle (drained) before the first submission.
         self.engine.run()
         self.core.on_finish.append(self._on_command_finish)
@@ -268,11 +262,8 @@ class SsdSession:
 
     @property
     def fast_path_stats(self) -> FastPathStats:
-        """Lifetime fast-vs-fallback dispatch counts for this session."""
-        return FastPathStats(
-            fast=self.core.fast_commands,
-            fallback=self.core.fallback_commands,
-        )
+        """Lifetime dispatch counts for this session."""
+        return FastPathStats(fast=self.core.fast_commands, fallback=0)
 
     def submit(
         self, io: IoCommand, ftl: "DieStripedFtl | None" = None
@@ -323,8 +314,8 @@ class SsdSession:
     def drain(self) -> float:
         """Run the session engine until every in-flight I/O completes.
 
-        Returns the simulation time reached.  The resident workers stay
-        parked for the next submission.
+        Returns the simulation time reached.  The resident dispatchers
+        stay parked for the next submission.
         """
         end = self.engine.run()
         if self.core.in_flight or self._backlog:
@@ -402,7 +393,7 @@ class SsdSession:
         :class:`~repro.nand.device.NandFlashDevice`, corrected bits /
         decode failures / observed RBER from the BCH codec path, host
         ops, GC migrations and write amplification from the routed FTL,
-        and the session's own queue-pair and dispatch-path counters.
+        and the session's own queue-pair and dispatch counters.
         Pass an existing ``registry`` to merge (scalars accumulate).
         """
         from repro.obs.counters import CounterRegistry
@@ -432,10 +423,9 @@ class SsdSession:
                 sum(1 for flag in self._gc_active if flag),
                 "dies",
             )
-        fast = self.fast_path_stats
-        registry.set("dispatch_fast_commands", fast.fast, "commands")
-        registry.set("dispatch_fallback_commands", fast.fallback,
-                     "commands")
+        registry.set(
+            "dispatch_fast_commands", self.core.fast_commands, "commands"
+        )
         registry.set("die_busy_s", list(self.core.die_busy_s), "s")
         registry.set("channel_busy_s", list(self.core.channel_busy_s), "s")
         registry.set("ecc_busy_s", list(self.core.ecc_busy_s), "s")

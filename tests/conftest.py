@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# The frozen generator-dispatch oracle (``tests/ssd/_generator_oracle.py``)
+# imports by module name from every test directory.
+sys.path.insert(0, str(Path(__file__).parent / "ssd"))
 
 from repro.bch.params import BCHCodeSpec, design_code
 from repro.gf.field import GF2m, get_field

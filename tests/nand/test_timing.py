@@ -116,3 +116,20 @@ class TestCommandPhases:
             CommandPhase(PhaseResource.PLANE, -1.0)
         with pytest.raises(SimulationError):
             CommandPhase(PhaseResource.ECC, 1e-6, hold_s=2e-6)
+
+    @pytest.mark.parametrize(
+        "duration_s, hold_s",
+        [
+            (float("nan"), None),
+            (float("inf"), None),
+            (1e-6, float("nan")),
+            (float("inf"), 1e-6),
+        ],
+        ids=["nan-duration", "inf-duration", "nan-hold", "inf-duration-hold"],
+    )
+    def test_non_finite_phase_rejected(self, duration_s, hold_s):
+        from repro.errors import SimulationError
+        from repro.nand.timing import CommandPhase, PhaseResource
+
+        with pytest.raises(SimulationError):
+            CommandPhase(PhaseResource.ECC, duration_s, hold_s=hold_s)

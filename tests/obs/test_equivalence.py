@@ -5,7 +5,8 @@ None`` check and records *at* the scheduler's existing accounting
 points, changing no event ordering, sequence allocation or float
 arithmetic.  These tests enforce it — makespans, completion tuples and
 busy accumulators must be bit-identical with and without a recorder,
-across both event-list backends and both dispatch paths.
+on the flat dispatch core and on the frozen generator oracle — and the
+two dispatchers must record the same span set.
 """
 
 import random
@@ -20,8 +21,11 @@ from repro.ssd.scheduler import (
     DieCommand,
     PipelineConfig,
     SchedulerCore,
+    closed_admission,
 )
 from repro.ssd.topology import SsdTopology
+
+from _generator_oracle import GeneratorSchedulerCore
 
 _TIMING = NandTimingModel()
 READ_PHASES = _TIMING.read_phases(30e-6, 60e-6, 110e-6, 28e-6)
@@ -45,23 +49,31 @@ def _stream(n: int, dies: int, seed: int = 7) -> list[DieCommand]:
     return commands
 
 
-def _run(backend: str, flat: bool, traced: bool):
-    """One mixed-open run; returns its full observable outcome."""
+def _run(flat: bool, traced: bool, closed: bool = False):
+    """One mixed run (flat core or oracle); returns its outcome.
+
+    The stream is admitted open-loop through ``submit_stream``, or with
+    ``closed=True`` as a queue-depth-bounded closed batch.
+    """
     recorder = TraceRecorder() if traced else None
-    engine = SimEngine(event_list=backend)
+    engine = SimEngine()
     topology = SsdTopology(channels=2, dies_per_channel=2)
-    core = SchedulerCore(
-        engine, topology, PipelineConfig.full(),
-        flat=flat, recorder=recorder,
+    core_cls = SchedulerCore if flat else GeneratorSchedulerCore
+    core = core_cls(
+        engine, topology, PipelineConfig.full(), recorder=recorder,
     )
     completions = []
     core.on_finish.append(lambda completion: completions.append(
         tuple(completion)
     ))
-    core.start()
-    engine.run()
-    core.submit_stream(_stream(400, topology.dies), window=64,
-                       arrival_s=2e-6)
+    if closed:
+        engine.spawn(closed_admission(core, _stream(200, topology.dies), 8))
+        core.start()
+    else:
+        core.start()
+        engine.run()
+        core.submit_stream(_stream(400, topology.dies), window=64,
+                           arrival_s=2e-6)
     makespan = engine.run()
     return {
         "makespan": makespan,
@@ -74,11 +86,10 @@ def _run(backend: str, flat: bool, traced: bool):
     }
 
 
-@pytest.mark.parametrize("backend", ["heap", "calendar"])
 @pytest.mark.parametrize("flat", [True, False], ids=["flat", "generators"])
-def test_traced_run_is_bit_identical_to_untraced(backend, flat):
-    untraced = _run(backend, flat, traced=False)
-    traced = _run(backend, flat, traced=True)
+def test_traced_run_is_bit_identical_to_untraced(flat):
+    untraced = _run(flat, traced=False)
+    traced = _run(flat, traced=True)
     # Bit-identical, not approx: the hooks must not touch the sim.
     assert traced["makespan"] == untraced["makespan"]
     assert traced["completions"] == untraced["completions"]
@@ -89,19 +100,29 @@ def test_traced_run_is_bit_identical_to_untraced(backend, flat):
     assert len(traced["recorder"]) > 0
 
 
-@pytest.mark.parametrize("backend", ["heap", "calendar"])
-def test_dispatch_paths_record_identical_span_sets(backend):
-    """Flat core and generator workers emit the same spans (any order)."""
-    flat_spans = sorted(_run(backend, True, traced=True)["recorder"].spans)
-    gen_spans = sorted(_run(backend, False, traced=True)["recorder"].spans)
-    assert flat_spans == gen_spans
+def test_dispatch_paths_record_identical_span_sets():
+    """Flat core and generator oracle emit the same spans (any order)."""
+    flat = _run(True, traced=True)
+    oracle = _run(False, traced=True)
+    assert flat["makespan"] == oracle["makespan"]
+    assert flat["completions"] == oracle["completions"]
+    assert sorted(flat["recorder"].spans) == sorted(oracle["recorder"].spans)
 
 
-def test_backends_agree_on_the_traced_outcome():
-    heap = _run("heap", True, traced=True)
-    calendar = _run("calendar", True, traced=True)
-    assert heap["makespan"] == calendar["makespan"]
-    assert heap["completions"] == calendar["completions"]
-    assert sorted(heap["recorder"].spans) == sorted(
-        calendar["recorder"].spans
-    )
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "generators"])
+def test_traced_closed_batch_is_bit_identical_to_untraced(flat):
+    untraced = _run(flat, traced=False, closed=True)
+    traced = _run(flat, traced=True, closed=True)
+    recorder = traced.pop("recorder")
+    untraced.pop("recorder")
+    assert traced == untraced
+    assert len(untraced["completions"]) == 200
+    assert len(recorder) > 0
+
+
+def test_closed_batch_span_sets_identical_on_flat_and_oracle():
+    flat = _run(True, traced=True, closed=True)
+    oracle = _run(False, traced=True, closed=True)
+    assert flat["makespan"] == oracle["makespan"]
+    assert flat["completions"] == oracle["completions"]
+    assert sorted(flat["recorder"].spans) == sorted(oracle["recorder"].spans)

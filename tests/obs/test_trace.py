@@ -23,6 +23,8 @@ from repro.ssd.scheduler import (
 )
 from repro.ssd.topology import SsdTopology
 
+from _generator_oracle import GeneratorSchedulerCore
+
 _TIMING = NandTimingModel()
 READ_PHASES = _TIMING.read_phases(25e-6, 40e-6, 90e-6, 20e-6)
 PROGRAM_PHASES = _TIMING.program_phases(180e-6, 40e-6, 20e-6)
@@ -51,10 +53,8 @@ def traced_run(request):
     recorder = TraceRecorder()
     engine = SimEngine()
     topology = SsdTopology(channels=2, dies_per_channel=2)
-    core = SchedulerCore(
-        engine, topology, PipelineConfig.full(),
-        flat=request.param, recorder=recorder,
-    )
+    core_cls = SchedulerCore if request.param else GeneratorSchedulerCore
+    core = core_cls(engine, topology, PipelineConfig.full(), recorder=recorder)
     core.start()
     engine.run()
     n = 200

@@ -1,9 +1,12 @@
 """Discrete-event engine tests."""
 
+import heapq
+import random
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import SimEngine
+from repro.sim.engine import HeapEventList, SimEngine
 
 
 class TestEngine:
@@ -244,3 +247,196 @@ class TestDaemonSignalsAndRebase:
         engine.spawn(tick(150))
         with pytest.raises(SimulationError, match="exceeded"):
             engine.run(max_events=100)
+
+
+def _random_schedule_agreement(rng, event_list, steps: int) -> None:
+    """Interleave pushes/pops; the list must match a reference heap."""
+    reference: list = []
+    now = 0.0
+    seq = 0
+    for step in range(steps):
+        if reference and rng.random() < 0.45:
+            popped = event_list.pop()
+            expected = heapq.heappop(reference)
+            assert popped == expected, f"diverged at step {step}"
+            now = popped[0]
+        else:
+            # Heavy tie mass: ~1/3 of pushes land exactly at `now`
+            # (signal wake-ups do), the rest spread over the phase
+            # spectrum from sub-microsecond offsets to multi-millisecond
+            # erases.
+            offset = rng.choice([0.0, 0.0, 1e-7, 5e-6, 64e-6, 3e-3])
+            entry = (now + offset * rng.random(), seq, None)
+            seq += 1
+            event_list.push(entry)
+            heapq.heappush(reference, entry)
+    while reference:
+        assert event_list.pop() == heapq.heappop(reference)
+    assert not event_list
+    assert len(event_list) == 0
+
+
+class TestHeapEventList:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_heap_event_list_matches_reference(self, seed):
+        rng = random.Random(seed)
+        _random_schedule_agreement(rng, HeapEventList(), steps=300)
+
+    def test_fifo_within_one_timestamp(self):
+        # All at one instant: pop order must be exactly push (seq) order.
+        events = HeapEventList()
+        entries = [(1e-3, seq, None) for seq in range(50)]
+        for entry in entries:
+            events.push(entry)
+        assert [events.pop() for _ in entries] == entries
+
+    def test_reuse_after_drain_accepts_earlier_times(self):
+        # A drained list is reused at a rebased (smaller) clock: entries
+        # earlier than anything popped before still come out first.
+        events = HeapEventList()
+        events.push((5e-3, 0, None))
+        assert events.pop() == (5e-3, 0, None)
+        events.push((1e-6, 2, None))
+        events.push((0.0, 1, None))
+        assert events.pop() == (0.0, 1, None)
+        assert events.pop() == (1e-6, 2, None)
+        with pytest.raises(IndexError):
+            events.pop()  # the run loop's drain sentinel
+
+
+class TestSingleEventList:
+    """The heap is the engine's only event list: no backend options."""
+
+    @pytest.mark.parametrize("option", ["event_list", "bucket_width_s"])
+    def test_removed_backend_option_rejected(self, option):
+        with pytest.raises(TypeError, match=option):
+            SimEngine(**{option: "heap" if option == "event_list" else 1e-6})
+
+    def test_package_exports_heap_only(self):
+        import repro.sim
+
+        assert repro.sim.HeapEventList is HeapEventList
+        assert "CalendarEventList" not in repro.sim.__all__
+        assert not hasattr(repro.sim, "CalendarEventList")
+        assert isinstance(SimEngine()._queue, HeapEventList)
+
+    def test_signal_and_delay_run_is_reproducible(self):
+        # Delays, a wake-all signal and a same-instant yield: the
+        # timeline is fixed by (time, sequence) order alone, so two
+        # fresh engines replay it identically.
+        def trace_run(engine):
+            order = []
+            gate = engine.signal()
+
+            def waiter(name):
+                yield gate
+                order.append((name, engine.now_s))
+
+            def firer():
+                yield 250e-6
+                gate.fire()
+                yield 0.0
+                order.append(("firer", engine.now_s))
+
+            for name in ("a", "b", "c"):
+                engine.spawn(waiter(name))
+            engine.spawn(firer())
+            engine.run()
+            return order, engine.now_s, engine.events_processed
+
+        first = trace_run(SimEngine())
+        # Waiters resume in park order at the fire instant, ahead of the
+        # firer's zero-delay yield (allocated after their wake-ups).
+        assert first[0] == [
+            ("a", 250e-6), ("b", 250e-6), ("c", 250e-6), ("firer", 250e-6),
+        ]
+        assert first[1] == 250e-6
+        assert trace_run(SimEngine()) == first
+
+
+class TestMaxEventsExhaustion:
+    def test_error_names_pending_count_and_is_runtime_error(self):
+        engine = SimEngine()
+
+        def ticker():
+            while True:
+                yield 1e-6
+
+        for _ in range(3):
+            engine.spawn(ticker())
+        with pytest.raises(RuntimeError, match=r"exceeded 10 events") as err:
+            engine.run(max_events=10)
+        # The interrupted event goes back in the queue: all 3 tickers
+        # still pending, named in the message.
+        assert "3 event(s) still pending" in str(err.value)
+        assert isinstance(err.value, SimulationError)
+
+    def test_exhausted_run_can_resume(self):
+        engine = SimEngine()
+        done = []
+
+        def ticker():
+            for _ in range(30):
+                yield 1e-6
+            done.append(engine.now_s)
+
+        engine.spawn(ticker())
+        with pytest.raises(SimulationError):
+            engine.run(max_events=10)
+        engine.run()  # picks up exactly where the guard stopped it
+        assert done and done[0] == pytest.approx(30e-6)
+
+
+class TestHandoffSignals:
+    def test_handoff_wakes_only_head_waiter(self):
+        engine = SimEngine()
+        woken = []
+        gate = engine.signal(handoff=True)
+
+        def waiter(name):
+            yield gate
+            woken.append(name)
+
+        def firer():
+            yield 1e-6
+            assert gate.fire() == 1
+
+        for name in ("a", "b", "c"):
+            engine.spawn(waiter(name))
+        engine.spawn(firer())
+        with pytest.raises(SimulationError, match="deadlock"):
+            engine.run()  # b and c stay parked forever
+        assert woken == ["a"]
+
+    def test_handoff_lock_discipline_matches_wake_all(self):
+        # The re-check-loop lock discipline: N holders contend for one
+        # serially-reusable resource.  Handoff and wake-all must
+        # produce identical acquisition orders and finish times.
+        def run(handoff: bool):
+            engine = SimEngine()
+            busy = [False]
+            freed = engine.signal(handoff=handoff)
+            log = []
+
+            def holder(name, hold_s):
+                while busy[0]:
+                    yield freed
+                busy[0] = True
+                yield hold_s
+                busy[0] = False
+                freed.fire()
+                log.append((name, engine.now_s))
+
+            for index, name in enumerate("abcde"):
+                engine.spawn(holder(name, (index + 1) * 10e-6))
+            engine.run()
+            return log
+
+        assert run(handoff=True) == run(handoff=False)
+
+    def test_fire_with_no_waiters_is_noop(self):
+        engine = SimEngine()
+        signal = engine.signal()
+        assert signal.fire() == 0
+        assert engine.idle
+        assert engine.events_processed == 0

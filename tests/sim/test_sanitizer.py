@@ -7,8 +7,9 @@ stub objects or real scheduler cores and asserts the sanitizer raises
 :class:`SanitizerError` *naming the offending resource, tag or
 timestamp*.  The equivalence half proves the acceptance criterion that
 arming the sanitizer changes no observable behaviour: armed and
-disarmed runs produce byte-identical completion timelines across the
-flat/generator and heap/calendar configuration grid.
+disarmed runs produce byte-identical completion timelines on the flat
+core and on the frozen generator oracle (whose checked locks validate
+their own transitions).
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from repro.ssd.scheduler import (
     closed_admission,
 )
 from repro.ssd.topology import SsdTopology
+
+from _generator_oracle import GeneratorSchedulerCore
 
 
 def _topology(channels: int = 2, dies_per_channel: int = 2) -> SsdTopology:
@@ -53,17 +56,43 @@ def _mixed_batch(count: int = 24) -> list[DieCommand]:
     return commands
 
 
-def _run(flat: bool, sanitize: bool, event_list: str = "calendar",
+def _run(flat: bool, sanitize: bool,
          pipeline: PipelineConfig | None = None, queue_depth: int | None = 4):
-    """One closed-batch run; returns (makespan, completions, sanitizer)."""
-    engine = SimEngine(event_list=event_list, sanitize=sanitize)
-    core = SchedulerCore(engine, _topology(), pipeline, flat=flat)
+    """One closed-batch run; returns (makespan, completions, sanitizer).
+
+    ``flat=False`` runs the frozen generator oracle instead of the
+    live flat core.
+    """
+    engine = SimEngine(sanitize=sanitize)
+    core_cls = SchedulerCore if flat else GeneratorSchedulerCore
+    core = core_cls(engine, _topology(), pipeline)
     engine.spawn(closed_admission(core, _mixed_batch(), queue_depth))
     core.start()
     makespan = engine.run()
     if engine.sanitizer is not None:
         engine.sanitizer.check_drain(core, makespan)
     return makespan, core.completions, engine.sanitizer
+
+
+def _run_stream(flat: bool, sanitize: bool):
+    """One open-loop ``submit_stream`` run; returns its observables."""
+    engine = SimEngine(sanitize=sanitize)
+    core_cls = SchedulerCore if flat else GeneratorSchedulerCore
+    core = core_cls(engine, _topology(), PipelineConfig.full())
+    core.start()
+    engine.run()
+    core.submit_stream(_mixed_batch(36), window=3, arrival_s=20e-6)
+    makespan = engine.run()
+    if engine.sanitizer is not None:
+        engine.sanitizer.check_drain(core, makespan)
+    return (
+        makespan,
+        list(core.completions),
+        engine.events_processed,
+        list(core.die_busy_s),
+        list(core.channel_busy_s),
+        list(core.ecc_busy_s),
+    ), engine.sanitizer
 
 
 # -- arming --------------------------------------------------------------------------
@@ -129,9 +158,9 @@ class TestBackwardsTime:
 
 
 class TestLockDiscipline:
-    def _core(self) -> SchedulerCore:
+    def _core(self) -> GeneratorSchedulerCore:
         engine = SimEngine(sanitize=True)
-        return SchedulerCore(engine, _topology(), flat=False)
+        return GeneratorSchedulerCore(engine, _topology())
 
     def test_double_acquire_names_the_bus(self):
         core = self._core()
@@ -153,23 +182,27 @@ class TestLockDiscipline:
         ):
             core._caches[1][0].busy = False
 
+    def _read_ahead_core(self) -> GeneratorSchedulerCore:
+        # Read-ahead double-buffers each cache register: capacity 2.
+        engine = SimEngine(sanitize=True)
+        pipeline = PipelineConfig(
+            cache_read=True, multi_plane=True, read_ahead=True
+        )
+        return GeneratorSchedulerCore(engine, _topology(), pipeline)
+
     def test_counting_lock_capacity(self):
-        san = DesSanitizer()
-        key = ("cache", 0, 0)
-        san.register_lock(key, capacity=2)
-        san.transition(key, 0, 1, capacity=2)
-        san.transition(key, 1, 2, capacity=2)
+        core = self._read_ahead_core()
+        core._caches[0][0].busy += 1
+        core._caches[0][0].busy += 1
         with pytest.raises(
             SanitizerError, match=r"double acquire of cache\[0/0\]"
         ):
-            san.transition(key, 2, 3, capacity=2)
+            core._caches[0][0].busy += 1
 
     def test_counting_lock_rejects_jumps(self):
-        san = DesSanitizer()
-        key = ("cache", 3, 1)
-        san.register_lock(key, capacity=2)
+        core = self._read_ahead_core()
         with pytest.raises(SanitizerError, match="invalid transition"):
-            san.transition(key, 0, 2, capacity=2)
+            core._caches[3][1].busy = 2
 
     def test_flat_release_check_names_the_resource(self):
         # The flat dispatch core's release arms pass the live busy value;
@@ -233,7 +266,7 @@ class TestPhaseSanity:
 
     def test_armed_enqueue_rejects_broken_plan(self):
         engine = SimEngine(sanitize=True)
-        core = SchedulerCore(engine, _topology(), flat=False)
+        core = SchedulerCore(engine, _topology())
         with pytest.raises(SanitizerError, match="command tag 9"):
             core.enqueue(_StubCommand(9, [_StubPhase(-1e-6)]))
 
@@ -244,7 +277,7 @@ class TestPhaseSanity:
 class TestDrainAudit:
     def test_leaked_generator_lock_named(self):
         engine = SimEngine(sanitize=True)
-        core = SchedulerCore(engine, _topology(), flat=False)
+        core = GeneratorSchedulerCore(engine, _topology())
         core._buses[1].busy = True
         core._caches[2][0].busy = True
         with pytest.raises(
@@ -256,14 +289,14 @@ class TestDrainAudit:
 
     def test_leaked_flat_lock_named(self):
         engine = SimEngine(sanitize=True)
-        core = SchedulerCore(engine, _topology(), flat=True)
-        core._flat_eccs[0][0] = True
+        core = SchedulerCore(engine, _topology())
+        core._eccs[0][0] = True
         with pytest.raises(SanitizerError, match=r"ecc\[0\]"):
             engine.sanitizer.check_drain(core)
 
     def test_in_flight_accounting_mismatch_named(self):
         engine = SimEngine(sanitize=True)
-        core = SchedulerCore(engine, _topology(), flat=True)
+        core = SchedulerCore(engine, _topology())
         core._meta[13] = (0.0, None)
         with pytest.raises(
             SanitizerError, match="in-flight accounting mismatch"
@@ -273,7 +306,7 @@ class TestDrainAudit:
 
     def test_busy_conservation_names_resource(self):
         engine = SimEngine(sanitize=True)
-        core = SchedulerCore(engine, _topology(), flat=True)
+        core = SchedulerCore(engine, _topology())
         core.channel_busy_s[1] = 2.0
         with pytest.raises(
             SanitizerError, match="busy conservation violated"
@@ -283,13 +316,13 @@ class TestDrainAudit:
 
     def test_busy_within_float_tolerance_passes(self):
         engine = SimEngine(sanitize=True)
-        core = SchedulerCore(engine, _topology(), flat=True)
+        core = SchedulerCore(engine, _topology())
         core.die_busy_s[0] = 1.0 + 1e-13
         engine.sanitizer.check_drain(core, elapsed_s=1.0)
 
     def test_quiescent_core_passes(self):
         engine = SimEngine(sanitize=True)
-        core = SchedulerCore(engine, _topology(), flat=False)
+        core = GeneratorSchedulerCore(engine, _topology())
         engine.sanitizer.check_drain(core, elapsed_s=0.0)
 
 
@@ -308,21 +341,26 @@ PIPELINES = [
 
 class TestArmedEquivalence:
     @pytest.mark.parametrize("pipeline", PIPELINES)
-    @pytest.mark.parametrize("event_list", ["calendar", "heap"])
     @pytest.mark.parametrize("flat", [False, True],
                              ids=["generator", "flat"])
-    def test_armed_matches_disarmed_bit_exactly(
-        self, flat, event_list, pipeline,
-    ):
+    def test_armed_matches_disarmed_bit_exactly(self, flat, pipeline):
         base_span, base_done, _ = _run(
-            flat, sanitize=False, event_list=event_list, pipeline=pipeline,
+            flat, sanitize=False, pipeline=pipeline,
         )
-        span, done, sanitizer = _run(
-            flat, sanitize=True, event_list=event_list, pipeline=pipeline,
-        )
+        span, done, sanitizer = _run(flat, sanitize=True, pipeline=pipeline)
         # Exact float equality, not approx: the sanitizer only observes.
         assert span == base_span
         assert done == base_done
+        assert sanitizer.checks > 0
+
+    @pytest.mark.parametrize("flat", [False, True],
+                             ids=["generator", "flat"])
+    def test_armed_open_stream_matches_disarmed(self, flat):
+        # The admission frame and window backpressure under the audit.
+        base, _ = _run_stream(flat, sanitize=False)
+        armed, sanitizer = _run_stream(flat, sanitize=True)
+        assert armed == base
+        assert len(armed[1]) == 36
         assert sanitizer.checks > 0
 
     def test_flat_and_generator_agree_while_armed(self):

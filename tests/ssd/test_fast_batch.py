@@ -1,21 +1,21 @@
-"""Flat dispatch core: bit-exact equivalence tests.
+"""Flat dispatch core: bit-exact equivalence against the generator oracle.
 
-The flat core (``SchedulerCore(flat=True)`` driving ``_flat_burst``) is
-a transliteration of the generator workers onto coroutine-free
-state-machine frames; these tests pin the contract that it is
-*bit-exact*, not merely close: identical completion order, identical
-timestamps, identical busy accounting and makespan, for every pipeline
-configuration, command kind (homogeneous and mixed), queue depth and
-topology — on the fresh :class:`CommandScheduler` surface, the resident
+The flat core (``SchedulerCore`` driving ``_flat_burst``) is a
+transliteration of generator workers onto coroutine-free state-machine
+frames; the workers themselves live on as the frozen oracle in
+``_generator_oracle.py``.  These tests pin the contract that the flat
+core is *bit-exact* against it, not merely close: identical completion
+order, identical timestamps, identical busy accounting, event counts
+and makespan, for every pipeline configuration, command kind
+(homogeneous and mixed), queue depth and topology — on the fresh
+:class:`CommandScheduler` surface, the resident
 :meth:`SsdSession.execute` surface, and the open-loop
 :meth:`SchedulerCore.submit_stream` stream (mid-flight admission,
-window backpressure and tie-heavy arrival regimes included), on both
-event-list backends.
+window backpressure and tie-heavy arrival regimes included).
 
-The last section is the replay contract for the event-list backends: a
-full open-loop session (FTL data path, ECC, error injection, backlog,
-doorbell) must produce byte-identical completions whether the engine
-runs on the reference heap or the calendar queue.
+The last section replays a full open-loop session (FTL data path, ECC,
+error injection, backlog, doorbell) on both dispatchers: completions
+must be byte-identical.
 """
 
 import random
@@ -41,9 +41,10 @@ from repro.ssd.scheduler import (
     CommandScheduler,
     DieCommand,
     SchedulerCore,
-    open_admission,
 )
 from repro.workloads.traces import TraceOpKind
+
+from _generator_oracle import GeneratorSchedulerCore, install, open_admission
 
 # Neat-number phase shapes: durations are exact multiples of 5 us so
 # independent command chains collide on identical timestamps constantly
@@ -103,21 +104,23 @@ class TestSchedulerEquivalence:
         (4, 2, 32, 23),
     ])
     def test_fresh_run_bit_exact(
-        self, pipeline, kind, channels, dies_per_channel, queue_depth, seed
+        self, monkeypatch, pipeline, kind, channels, dies_per_channel,
+        queue_depth, seed,
     ):
         topology = SsdTopology(
             channels=channels, dies_per_channel=dies_per_channel
         )
         commands = _stream(kind, 48, topology.dies, seed)
-        fast = CommandScheduler(
-            topology, pipeline=pipeline, fast_batch=True
-        ).run(commands, queue_depth)
-        slow = CommandScheduler(
-            topology, pipeline=pipeline, fast_batch=False
-        ).run(commands, queue_depth)
+        fast = CommandScheduler(topology, pipeline=pipeline).run(
+            commands, queue_depth
+        )
+        install(monkeypatch)
+        slow = CommandScheduler(topology, pipeline=pipeline).run(
+            commands, queue_depth
+        )
         _assert_identical(fast, slow)
 
-    def test_mixed_batch_runs_flat_and_matches(self):
+    def test_mixed_batch_runs_flat_and_matches(self, monkeypatch):
         # Mixed-kind batches used to fall back to the generator
         # workers; the flat core replays heterogeneous phase plans
         # directly and must still match the generators bit-for-bit.
@@ -135,10 +138,11 @@ class TestSchedulerEquivalence:
             for tag, c in enumerate(commands)
         ]
         fast = CommandScheduler(
-            topology, pipeline=PipelineConfig.full(), fast_batch=True
+            topology, pipeline=PipelineConfig.full()
         ).run(commands, queue_depth=8)
+        install(monkeypatch)
         slow = CommandScheduler(
-            topology, pipeline=PipelineConfig.full(), fast_batch=False
+            topology, pipeline=PipelineConfig.full()
         ).run(commands, queue_depth=8)
         _assert_identical(fast, slow)
 
@@ -148,35 +152,33 @@ class TestSessionEquivalence:
     @pytest.mark.parametrize(
         "kind", [CommandKind.READ, CommandKind.PROGRAM, CommandKind.ERASE]
     )
-    def test_resident_execute_bit_exact(self, pipeline, kind):
+    def test_resident_execute_bit_exact(self, monkeypatch, pipeline, kind):
         # Back-to-back batches through one resident session, checked
-        # against a fast_batch=False twin AND a fresh scheduler — the
-        # rebase()/reset_accounting() reuse path must not drift.
+        # against an oracle-session twin AND a fresh oracle scheduler —
+        # the rebase()/reset_accounting() reuse path must not drift.
         topology = SsdTopology(channels=2, dies_per_channel=2)
         fast_session = SsdSession(
             ssd=SsdDevice(topology, seed=0, pipeline=pipeline),
-            fast_batch=True,
         )
+        install(monkeypatch)
         slow_session = SsdSession(
             ssd=SsdDevice(topology, seed=0, pipeline=pipeline),
-            fast_batch=False,
         )
+        assert isinstance(slow_session.core, GeneratorSchedulerCore)
         for round_seed in (7, 41):
             commands = _stream(kind, 32, topology.dies, round_seed)
             fast = fast_session.execute(list(commands), queue_depth=6)
             slow = slow_session.execute(list(commands), queue_depth=6)
             _assert_identical(fast, slow)
-            fresh = CommandScheduler(
-                topology, pipeline=pipeline, fast_batch=False
-            ).run(list(commands), queue_depth=6)
+            fresh = CommandScheduler(topology, pipeline=pipeline).run(
+                list(commands), queue_depth=6
+            )
             _assert_identical(fast, fresh)
 
 
 # ---------------------------------------------------------------------------
 # Open-loop streams: the flat core vs the generator oracle, bit-for-bit.
 # ---------------------------------------------------------------------------
-
-BACKENDS = ["heap", "calendar"]
 
 ALL_KINDS = (CommandKind.READ, CommandKind.PROGRAM, CommandKind.ERASE)
 
@@ -203,11 +205,16 @@ def _mixed_stream(
     ]
 
 
-def _stream_core(flat: bool, backend: str, pipeline) -> SchedulerCore:
-    """A started, parked scheduler core on a drained engine."""
-    engine = SimEngine(event_list=backend)
-    topology = SsdTopology(channels=2, dies_per_channel=2)
-    core = SchedulerCore(engine, topology, pipeline, flat=flat)
+def _stream_core(
+    flat: bool, pipeline, channels: int = 2, dies_per_channel: int = 2
+) -> SchedulerCore:
+    """A started, parked core (flat, or the oracle) on a drained engine."""
+    engine = SimEngine()
+    topology = SsdTopology(
+        channels=channels, dies_per_channel=dies_per_channel
+    )
+    core_cls = SchedulerCore if flat else GeneratorSchedulerCore
+    core = core_cls(engine, topology, pipeline)
     core.start()
     engine.run()
     return core
@@ -227,30 +234,48 @@ def _observe(core: SchedulerCore):
 
 class TestOpenLoopEquivalence:
     @pytest.mark.parametrize("pipeline", PIPELINES, ids=lambda p: p.describe())
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mixed_open_stream_bit_exact(self, pipeline, backend):
+    def test_mixed_open_stream_bit_exact(self, pipeline):
         results = {}
         for flat in (True, False):
-            core = _stream_core(flat, backend, pipeline)
+            core = _stream_core(flat, pipeline)
             commands = _mixed_stream(64, core.topology.dies, seed=17)
             core.submit_stream(commands, window=8, arrival_s=5e-6)
             core.engine.run()
             results[flat] = _observe(core)
             if flat:
                 assert core.fast_commands == len(commands)
-                assert core.fallback_commands == 0
             else:
                 assert core.fallback_commands == len(commands)
                 assert core.fast_commands == 0
         assert results[True] == results[False]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mid_flight_enqueue_bit_exact(self, backend):
+    @pytest.mark.parametrize("channels,dies_per_channel", [
+        (1, 1), (1, 4), (4, 1), (4, 4),
+    ], ids=["1x1", "1x4", "4x1", "4x4"])
+    def test_open_stream_bit_exact_across_topologies(
+        self, channels, dies_per_channel
+    ):
+        # One die behind one bus, four dies sharing a bus, four private
+        # buses, and the full 4x4 fan-out: each shifts the contention
+        # between planes, buses and ECC engines.
+        results = {}
+        for flat in (True, False):
+            core = _stream_core(
+                flat, PipelineConfig.full(), channels, dies_per_channel
+            )
+            commands = _mixed_stream(48, core.topology.dies, seed=37)
+            core.submit_stream(commands, window=6, arrival_s=5e-6)
+            core.engine.run()
+            assert len(core.completions) == len(commands)
+            results[flat] = _observe(core)
+        assert results[True] == results[False]
+
+    def test_mid_flight_enqueue_bit_exact(self):
         # New commands admitted while the stream is mid-flight (the
         # engine paused at an arbitrary instant) must replay exactly.
         results = {}
         for flat in (True, False):
-            core = _stream_core(flat, backend, PipelineConfig.full())
+            core = _stream_core(flat, PipelineConfig.full())
             commands = _mixed_stream(40, core.topology.dies, seed=29)
             core.submit_stream(commands, window=16, arrival_s=4e-6)
             core.engine.run(until_s=120e-6)
@@ -263,13 +288,12 @@ class TestOpenLoopEquivalence:
             results[flat] = _observe(core)
         assert results[True] == results[False]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_window_backpressure_bit_exact(self, backend):
+    def test_window_backpressure_bit_exact(self):
         # A tiny in-flight window forces the admission stream to park
         # on the completion doorbell between almost every command.
         results = {}
         for flat in (True, False):
-            core = _stream_core(flat, backend, PipelineConfig.full())
+            core = _stream_core(flat, PipelineConfig.full())
             commands = _mixed_stream(48, core.topology.dies, seed=43)
             core.submit_stream(commands, window=2, arrival_s=1e-6)
             makespan = core.engine.run()
@@ -280,13 +304,13 @@ class TestOpenLoopEquivalence:
         assert results[True] == results[False]
 
     def test_submit_stream_matches_manual_oracle(self):
-        # On a generator core, submit_stream is sugar for spawning the
-        # open_admission oracle — pin that they allocate identically.
-        sugar = _stream_core(False, "heap", PipelineConfig.full())
+        # The flat admission frame replays the oracle's open_admission
+        # process spawned by hand — pin that they allocate identically.
+        sugar = _stream_core(True, PipelineConfig.full())
         commands = _mixed_stream(32, sugar.topology.dies, seed=53)
         sugar.submit_stream(commands, window=4, arrival_s=3e-6)
         sugar.engine.run()
-        manual = _stream_core(False, "heap", PipelineConfig.full())
+        manual = _stream_core(False, PipelineConfig.full())
         manual.engine.spawn(
             open_admission(manual, list(commands), 4, 3e-6)
         )
@@ -294,7 +318,7 @@ class TestOpenLoopEquivalence:
         assert _observe(sugar) == _observe(manual)
 
     def test_one_stream_at_a_time(self):
-        core = _stream_core(True, "heap", PipelineConfig.full())
+        core = _stream_core(True, PipelineConfig.full())
         commands = _mixed_stream(24, core.topology.dies, seed=59)
         core.submit_stream(commands, window=2, arrival_s=1e-6)
         with pytest.raises(SimulationError, match="one stream at a time"):
@@ -309,6 +333,33 @@ class TestOpenLoopEquivalence:
         assert len(core.completions) == 48
 
 
+class TestHeldLocks:
+    """``held_locks`` (the sanitizer's drain-audit view) tracks the oracle.
+
+    Paused at the same instants, the flat core and the oracle must hold
+    the same buses, ECC engines and cache registers — and none once the
+    stream drains.
+    """
+
+    @pytest.mark.parametrize("pipeline", PIPELINES, ids=lambda p: p.describe())
+    def test_held_locks_match_oracle_at_every_pause(self, pipeline):
+        snapshots = {}
+        for flat in (True, False):
+            core = _stream_core(flat, pipeline)
+            commands = _mixed_stream(40, core.topology.dies, seed=67)
+            core.submit_stream(commands, window=8, arrival_s=5e-6)
+            held = []
+            pause = 0.0
+            while not core.engine.idle:
+                pause += 7e-6
+                core.engine.run(until_s=pause)
+                held.append((core.in_flight, core.held_locks()))
+            assert core.held_locks() == []
+            snapshots[flat] = held
+        assert any(locks for _, locks in snapshots[True])
+        assert snapshots[True] == snapshots[False]
+
+
 class TestTieHeavyDeterminism:
     """Completion-order determinism when everything collides.
 
@@ -318,16 +369,13 @@ class TestTieHeavyDeterminism:
     would surface any sequence-order divergence from the generators.
     """
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [3, 19, 71])
-    def test_same_instant_arrivals_deterministic_and_exact(
-        self, backend, seed
-    ):
+    def test_same_instant_arrivals_deterministic_and_exact(self, seed):
         traces = {}
         for flat in (True, False):
             runs = []
             for _ in range(2):
-                core = _stream_core(flat, backend, PipelineConfig.full())
+                core = _stream_core(flat, PipelineConfig.full())
                 commands = _mixed_stream(56, core.topology.dies, seed=seed)
                 core.submit_stream(commands, window=None, arrival_s=0.0)
                 core.engine.run()
@@ -337,12 +385,26 @@ class TestTieHeavyDeterminism:
         assert traces[True] == traces[False]  # and oracle-exact
 
     @pytest.mark.parametrize("pipeline", PIPELINES, ids=lambda p: p.describe())
+    def test_same_instant_unwindowed_bit_exact_per_pipeline(self, pipeline):
+        # Every command admitted at t=0 with no window: the largest
+        # same-timestamp pile-up, on each pipeline tier.
+        results = {}
+        for flat in (True, False):
+            core = _stream_core(flat, pipeline)
+            commands = _mixed_stream(56, core.topology.dies, seed=89)
+            core.submit_stream(commands, window=None, arrival_s=0.0)
+            core.engine.run()
+            assert len(core.completions) == len(commands)
+            results[flat] = _observe(core)
+        assert results[True] == results[False]
+
+    @pytest.mark.parametrize("pipeline", PIPELINES, ids=lambda p: p.describe())
     def test_zero_arrival_window_one_serialises_exactly(self, pipeline):
         # Window 1 under same-instant arrivals: every admission waits
         # on the previous completion — pure doorbell traffic.
         results = {}
         for flat in (True, False):
-            core = _stream_core(flat, "heap", pipeline)
+            core = _stream_core(flat, pipeline)
             commands = _mixed_stream(20, core.topology.dies, seed=83)
             core.submit_stream(commands, window=1, arrival_s=0.0)
             core.engine.run()
@@ -355,26 +417,12 @@ class TestSessionFastPathStats:
         topology = SsdTopology(channels=2, dies_per_channel=2)
         session = SsdSession(
             ssd=SsdDevice(topology, seed=0, pipeline=PipelineConfig.full()),
-            fast_batch=True,
         )
         commands = _stream(CommandKind.READ, 24, topology.dies, 5)
         session.execute(list(commands), queue_depth=4)
         stats = session.fast_path_stats
         assert stats.fast == 24
         assert stats.fallback == 0
-        assert stats.total == 24
-
-    def test_generator_session_counts_fallback_commands(self):
-        topology = SsdTopology(channels=2, dies_per_channel=2)
-        session = SsdSession(
-            ssd=SsdDevice(topology, seed=0, pipeline=PipelineConfig.full()),
-            fast_batch=False,
-        )
-        commands = _stream(CommandKind.READ, 24, topology.dies, 5)
-        session.execute(list(commands), queue_depth=4)
-        stats = session.fast_path_stats
-        assert stats.fast == 0
-        assert stats.fallback == 24
         assert stats.total == 24
 
 
@@ -388,9 +436,7 @@ class TestEngineFlatSurface:
     def test_schedule_at_past_raises(self):
         topology = SsdTopology(channels=1, dies_per_channel=1)
         engine = SimEngine()
-        core = SchedulerCore(
-            engine, topology, PipelineConfig.full(), flat=True
-        )
+        core = SchedulerCore(engine, topology, PipelineConfig.full())
         core.start()
         engine.run()
         core.submit_stream(
@@ -402,7 +448,7 @@ class TestEngineFlatSurface:
 
 
 # ---------------------------------------------------------------------------
-# Event-list backend replay: full open-loop sessions, byte-identical.
+# Full open-loop sessions on both dispatchers, byte-identical.
 # ---------------------------------------------------------------------------
 
 
@@ -421,15 +467,13 @@ def _build_ftl(pipeline, seed=2012, wear=10_000):
     return DieStripedFtl(ssd)
 
 
-def _open_loop_trace(backend: str):
-    """One full open-loop session on the given backend; returns its trace."""
+def _open_loop_trace():
+    """One full open-loop session; returns its trace."""
     ftl = _build_ftl(PipelineConfig.full())
     page = ftl.geometry.page_data_bytes
     rng = random.Random(99)
     ftl.write_many([(lpn, bytes([lpn]) * page) for lpn in range(8)])
-    session = SsdSession(
-        ftl, engine=SimEngine(event_list=backend), queue_depth=4
-    )
+    session = SsdSession(ftl, queue_depth=4)
     ops = []
     for _ in range(48):
         if rng.random() < 0.6:
@@ -448,6 +492,10 @@ def _open_loop_trace(backend: str):
     session.drain()
     completions = session.take_completions()
     assert len(completions) == len(ops)
+    smart = session.metrics().as_dict()
+    # The one dispatcher-specific counter: the oracle reports its
+    # commands as fallback, not fast.
+    del smart["dispatch_fast_commands"]
     return (
         [
             (c.tag, c.kind, c.lpn, c.data, c.submit_s, c.dispatch_s, c.done_s)
@@ -455,9 +503,22 @@ def _open_loop_trace(backend: str):
         ],
         session.engine.now_s,
         session.engine.events_processed,
+        smart,
     )
 
 
-class TestBackendReplay:
-    def test_open_loop_session_identical_on_heap_and_calendar(self):
-        assert _open_loop_trace("calendar") == _open_loop_trace("heap")
+class TestOracleReplay:
+    def test_install_routes_new_cores_through_oracle(self, monkeypatch):
+        topology = SsdTopology(channels=1, dies_per_channel=1)
+        before = SsdSession(ssd=SsdDevice(topology, seed=0))
+        install(monkeypatch)
+        after = SsdSession(ssd=SsdDevice(topology, seed=0))
+        assert type(before.core) is SchedulerCore
+        assert type(after.core) is GeneratorSchedulerCore
+
+    def test_open_loop_session_identical_on_flat_and_oracle(
+        self, monkeypatch
+    ):
+        flat = _open_loop_trace()
+        install(monkeypatch)
+        assert _open_loop_trace() == flat

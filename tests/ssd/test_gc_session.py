@@ -4,13 +4,13 @@ The contract under test, per mode:
 
 * ``sync`` — the locked baseline: a session built with GC kwargs but
   ``gc_mode="sync"`` is **bit-exact** (host data and timelines) with a
-  plain session, on both dispatch paths and both event-list backends.
+  plain session, on the flat core and on the frozen generator oracle.
 * ``foreground`` — collections stall the host window: the classic
   synchronous-GC device the sustained-write benchmark baselines on.
-* ``background`` — watermark/idle-triggered, die-parallel, deterministic
-  across flat/generator dispatch and calendar/heap event lists, faster
-  than foreground on the same churn, observable via GC-origin trace
-  spans and SMART counters.
+* ``background`` — watermark/idle-triggered, die-parallel, bit-exact
+  between the flat core and the generator oracle, faster than
+  foreground on the same churn, observable via GC-origin trace spans
+  and SMART counters.
 
 Plus the watermark hysteresis state machine (unit-tested against a stub
 FTL) and the opt-in ``read_ahead`` pipeline tier.
@@ -26,7 +26,6 @@ from repro.core.policy import CrossLayerPolicy
 from repro.ftl.gc import GcConfig, GcStats
 from repro.nand.geometry import NandGeometry
 from repro.obs.trace import KIND_NAMES, TRACK_PLANE, TraceRecorder
-from repro.sim.engine import SimEngine
 from repro.sim.host import OpenLoopWorkload, run_open_loop_workload
 from repro.ssd import (
     DieStripedFtl,
@@ -37,13 +36,13 @@ from repro.ssd import (
 )
 from repro.workloads.traces import TraceOp, TraceOpKind
 
+from _generator_oracle import install
+
 QUEUE_DEPTH = 4
 
-DISPATCH_GRID = [
-    (fast_batch, event_list)
-    for fast_batch in (True, False)
-    for event_list in ("calendar", "heap")
-]
+#: Dispatchers every equivalence lock runs on: the flat core, then the
+#: frozen generator oracle.
+DISPATCHERS = ["flat", "oracle"]
 
 
 def _page(tag: int) -> bytes:
@@ -54,8 +53,6 @@ def _build(
     gc_mode="background",
     *,
     dies=2,
-    fast_batch=True,
-    event_list="calendar",
     recorder=None,
     gc_config=None,
     plain=False,
@@ -86,9 +83,7 @@ def _build(
     }
     session = SsdSession(
         ssd=ssd,
-        engine=SimEngine(event_list=event_list),
         queue_depth=QUEUE_DEPTH,
-        fast_batch=fast_batch,
         recorder=recorder,
         **kwargs,
     )
@@ -155,21 +150,19 @@ def _expected_read_datas(ops):
 
 
 class TestSyncEquivalence:
-    @pytest.mark.parametrize("fast_batch,event_list", DISPATCH_GRID)
+    @pytest.mark.parametrize("dispatcher", DISPATCHERS)
     def test_sync_mode_bit_exact_with_plain_session(
-        self, fast_batch, event_list
+        self, monkeypatch, dispatcher
     ):
         """GC kwargs are inert in sync mode: same data, same timeline."""
-        ftl, session = _build(
-            plain=True, fast_batch=fast_batch, event_list=event_list
-        )
+        if dispatcher == "oracle":
+            install(monkeypatch)
+        ftl, session = _build(plain=True)
         ops = _churn(ftl.logical_capacity)
         baseline, base_done = _run(ftl, session, ops)
 
         gc_ftl, gc_session = _build(
             "sync",
-            fast_batch=fast_batch,
-            event_list=event_list,
             gc_config=GcConfig(
                 policy="cost_benefit", low_water_blocks=1,
                 high_water_blocks=3,
@@ -194,18 +187,42 @@ class TestSyncEquivalence:
             SsdSession(ftl, gc_mode="idle")
 
 
+class TestDispatchCounts:
+    @pytest.mark.parametrize("gc_mode", ["sync", "foreground", "background"])
+    def test_every_dispatched_command_counts_as_fast(self, gc_mode):
+        """Host and GC commands alike go through the one flat core."""
+        ftl, session = _build(gc_mode)
+        dispatched = []
+        session.core.on_finish.append(dispatched.append)
+        result, done = _run(ftl, session, _churn(ftl.logical_capacity))
+        stats = session.fast_path_stats
+        assert stats.fallback == 0
+        assert stats.fast == stats.total == len(dispatched)
+        assert result.fast_commands == len(dispatched)
+        assert session.metrics().as_dict()["dispatch_fast_commands"] == (
+            len(dispatched)
+        )
+        if gc_mode == "sync":
+            # Sync collections run off the timeline: host commands only.
+            assert len(dispatched) == len(done)
+        else:
+            # Scheduled collections dispatch their migrations too.
+            assert ftl.gc_stats.collections > 0
+            assert len(dispatched) > len(done)
+
+
 class TestBackgroundDeterminism:
-    def test_timeline_identical_across_dispatch_and_event_lists(self):
-        """Die-parallel GC replays bit-exactly on all four machineries."""
+    def test_timeline_identical_on_flat_and_oracle(self, monkeypatch):
+        """Die-parallel GC replays bit-exactly on both dispatchers."""
         prints = []
-        for fast_batch, event_list in DISPATCH_GRID:
-            ftl, session = _build(
-                "background", fast_batch=fast_batch, event_list=event_list
-            )
+        for dispatcher in DISPATCHERS:
+            if dispatcher == "oracle":
+                install(monkeypatch)
+            ftl, session = _build("background")
             result, done = _run(ftl, session, _churn(ftl.logical_capacity))
             assert ftl.gc_stats.background_collections > 0
             prints.append((result.elapsed_s, _fingerprint(done)))
-        assert all(p == prints[0] for p in prints[1:])
+        assert prints[1] == prints[0]
 
 
 class TestCrossModeEquivalence:
@@ -418,11 +435,13 @@ class TestReadAhead:
         assert "ra" not in PipelineConfig.full().describe()
         assert _read_ahead_config(True).describe().endswith("+ra")
 
-    def test_flat_matches_generator_with_read_ahead(self):
+    def test_flat_matches_generator_with_read_ahead(self, monkeypatch):
         prints = []
-        for fast_batch in (True, False):
+        for dispatcher in DISPATCHERS:
+            if dispatcher == "oracle":
+                install(monkeypatch)
             ftl, session = _build(
-                plain=True, dies=1, fast_batch=fast_batch,
+                plain=True, dies=1,
                 pipeline=_read_ahead_config(True), plane_interleave=False,
             )
             result, done = _run(

@@ -4,11 +4,15 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.nand.geometry import NandGeometry
+from repro.sim.engine import SimEngine
+from repro.ssd.device import SsdDevice
 from repro.ssd.scheduler import (
     CommandKind,
     CommandScheduler,
     DieCommand,
+    SchedulerCore,
 )
+from repro.ssd.session import SsdSession
 from repro.ssd.topology import SsdTopology
 
 
@@ -160,3 +164,102 @@ class TestValidation:
         result = CommandScheduler(_topology(2, 2)).run([])
         assert result.makespan_s == 0.0
         assert result.completions == []
+
+    @pytest.mark.parametrize("field", ["die_s", "channel_s", "cache_busy_s"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf")], ids=["nan", "inf"]
+    )
+    def test_non_finite_duration_rejected(self, field, value):
+        # NaN slips through a bare `x < 0` check; both it and infinity
+        # must fail here, at construction, not as a stalled schedule.
+        kwargs = {"die_s": 100e-6, "channel_s": 50e-6, field: value}
+        with pytest.raises(SimulationError, match="finite"):
+            DieCommand(kind=CommandKind.READ, die=0, tag=0, **kwargs)
+
+
+def _parked_core() -> SchedulerCore:
+    """A started 1x1 core with its dispatcher parked on a drained engine."""
+    engine = SimEngine()
+    core = SchedulerCore(engine, _topology(1, 1))
+    core.start()
+    engine.run()
+    return core
+
+
+class TestSubmitStreamValidation:
+    """``submit_stream`` rejects a bad window or arrival spacing up front.
+
+    A negative or NaN spacing used to be taken as the burst's "no
+    self-transition" sentinel, silently dropping the stream after its
+    first admission; a window below 1 surfaced only as a run-time
+    deadlock.  Each must now raise before the admission frame exists.
+    """
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_rejected(self, window):
+        core = _parked_core()
+        with pytest.raises(SimulationError, match="window"):
+            core.submit_stream(_reads(3, [0]), window=window, arrival_s=1e-6)
+        assert core._admit is None
+        assert core.engine.idle
+
+    @pytest.mark.parametrize(
+        "arrival_s", [-1e-6, float("nan"), float("inf")],
+        ids=["negative", "nan", "inf"],
+    )
+    def test_bad_arrival_spacing_rejected(self, arrival_s):
+        core = _parked_core()
+        with pytest.raises(SimulationError, match="arrival spacing"):
+            core.submit_stream(_reads(3, [0]), window=2, arrival_s=arrival_s)
+        assert core._admit is None
+        assert core.engine.idle
+
+    def test_valid_stream_after_rejection_completes(self):
+        core = _parked_core()
+        with pytest.raises(SimulationError):
+            core.submit_stream(_reads(3, [0]), arrival_s=-1e-6)
+        core.submit_stream(_reads(3, [0]), window=None, arrival_s=1e-6)
+        core.engine.run()
+        assert len(core.completions) == 3
+
+    @pytest.mark.parametrize(
+        "window,arrival_s", [(None, 1e-6), (1, 1e-6), (2, 0.0)],
+        ids=["unwindowed", "window-one", "zero-spacing"],
+    )
+    def test_boundary_values_accepted(self, window, arrival_s):
+        # The edges of the valid ranges run the whole stream.
+        core = _parked_core()
+        core.submit_stream(_reads(3, [0]), window=window, arrival_s=arrival_s)
+        core.engine.run()
+        done = sorted(core.completions, key=lambda c: c.tag)
+        assert [c.tag for c in done] == [0, 1, 2]
+        assert core.idle
+        if window == 1:
+            # One in flight at a time: each admission waits for the
+            # previous completion.
+            for before, after in zip(done, done[1:]):
+                assert after.admit_s >= before.done_s
+
+
+class TestDispatchOptionsRemoved:
+    """The flat core is the only dispatcher: no switch selects another."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(
+            lambda: SchedulerCore(SimEngine(), _topology(1, 1), flat=False),
+            id="SchedulerCore-flat",
+        ),
+        pytest.param(
+            lambda: CommandScheduler(_topology(1, 1), fast_batch=False),
+            id="CommandScheduler-fast_batch",
+        ),
+        pytest.param(
+            lambda: SsdSession(
+                ssd=SsdDevice(_topology(1, 1), seed=0), fast_batch=False,
+            ),
+            id="SsdSession-fast_batch",
+        ),
+    ])
+    def test_dispatch_switch_rejected(self, build):
+        with pytest.raises(TypeError, match="flat|fast_batch"):
+            build()
