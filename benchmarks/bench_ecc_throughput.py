@@ -19,21 +19,28 @@ is marked ``slow`` and the ``--quick`` knob shrinks the batch.
 A second set of gates pins each fast path against the frozen kernel it
 replaced, same process, best of 5: the batch encoder against the
 one-lane slicing kernel (``_legacy_encoder.py``) on a 16-page batch
-(>= 5x at t = 6, no slower at t = 65), and the remainder-first syndrome
+(>= 5x at t = 6, no slower at t = 65), the remainder-first syndrome
 stage against the bit-unpack gather (``_legacy_syndrome.py``) on a
 16-page clean batch at t = 6 (>= 4x) and on one page carrying t/2
-errors at t = 65 (no slower).
+errors at t = 65 (no slower), and the t-step Berlekamp-Massey and the
+strided Chien screen against the 2t-step iBM and the gather screen
+(``_legacy_bm_chien.py``) on one page carrying 33 errors at t = 65
+(>= 1.5x each).
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.bch.berlekamp import berlekamp_massey
+from repro.bch.chien import ChienSearch
 from repro.bch.decoder import BCHDecoder
 from repro.bch.encoder import BCHEncoder
 from repro.bch.params import design_code
@@ -41,6 +48,10 @@ from repro.bch.params import design_code
 sys.path.insert(0, str(Path(__file__).parent))
 from _legacy_encoder import LegacyBCHEncoder  # noqa: E402  (path bootstrap above)
 from _legacy_syndrome import LegacySyndromeCalculator  # noqa: E402
+from _legacy_bm_chien import (  # noqa: E402
+    LegacyChienSearch,
+    legacy_berlekamp_massey,
+)
 
 PAGE_BYTES = 4096
 CAPABILITIES = (3, 14, 65)
@@ -57,6 +68,8 @@ MIN_VS_LEGACY = {
     ("encode", 65, 16, 0): 1.0,
     ("syndromes", 6, 16, 0): 4.0,
     ("syndromes", 65, 1, 32): 1.0,
+    ("bm", 65, 1, 33): 1.5,
+    ("chien", 65, 1, 33): 1.5,
 }
 
 
@@ -143,6 +156,23 @@ def _best_s(fn, arg, repeats: int = 5) -> float:
     return best
 
 
+def _locators(bm, field, rows: list) -> list:
+    return [bm(field, row).error_locator for row in rows]
+
+
+def _positions(chien, locators: list) -> list:
+    return [chien.error_positions(locator) for locator in locators]
+
+
+def _same_locators(field, live: list, legacy: list) -> bool:
+    """The live locator is the frozen one divided by its lambda(0)."""
+    for new, old in zip(live, legacy):
+        scale = field.inv(old.coeff(0))
+        if new.coeffs != [field.mul(c, scale) for c in old.coeffs]:
+            return False
+    return True
+
+
 def bench_vs_legacy(stage: str, t: int, pages: int, errors: int,
                     rng: np.random.Generator) -> float:
     """Speedup of the live ``stage`` kernel over its frozen predecessor
@@ -150,21 +180,36 @@ def bench_vs_legacy(stage: str, t: int, pages: int, errors: int,
     spec = design_code(PAGE_BYTES * 8, t)
     encoder = BCHEncoder(spec)
     messages = [rng.bytes(PAGE_BYTES) for _ in range(pages)]
+    same = operator.eq
     if stage == "encode":
         live, legacy = encoder.encode_batch, LegacyBCHEncoder(spec).encode_batch
-        inputs = messages
+        live_in = legacy_in = messages
     else:
-        live = BCHDecoder(spec).syndrome_calculator.syndromes_batch
-        legacy = LegacySyndromeCalculator(spec).syndromes_batch
-        inputs = [
+        calculator = BCHDecoder(spec).syndrome_calculator
+        live_in = legacy_in = [
             _flip_random_bits(cw, errors, spec.n_stored, rng)
             for cw in encoder.encode_codeword_batch(messages)
         ]
+    if stage == "syndromes":
+        live = calculator.syndromes_batch
+        legacy = LegacySyndromeCalculator(spec).syndromes_batch
+        same = np.array_equal
+    elif stage in ("bm", "chien"):
+        field = spec.field()
+        live_in = legacy_in = calculator.syndromes_batch(live_in).tolist()
+        live = partial(_locators, berlekamp_massey, field)
+        legacy = partial(_locators, legacy_berlekamp_massey, field)
+        same = partial(_same_locators, field)
+        if stage == "chien":
+            live_in, legacy_in = live(live_in), legacy(legacy_in)
+            live = partial(_positions, ChienSearch(spec))
+            legacy = partial(_positions, LegacyChienSearch(spec))
+            same = operator.eq
     # Cross-check (and build both kernels' tables) outside the timing.
-    assert np.array_equal(live(inputs), legacy(inputs)), (
+    assert same(live(live_in), legacy(legacy_in)), (
         f"{stage} mismatch vs the legacy kernel"
     )
-    return _best_s(legacy, inputs) / _best_s(live, inputs)
+    return _best_s(legacy, legacy_in) / _best_s(live, live_in)
 
 
 def run_benchmark(batch_pages: int = 64, scalar_pages: int = 8,
@@ -197,11 +242,11 @@ def run_benchmark(batch_pages: int = 64, scalar_pages: int = 8,
     lines += [
         "",
         "vs the frozen kernels (encode: _legacy_encoder.py, syndromes: "
-        "_legacy_syndrome.py), best of 5:",
+        "_legacy_syndrome.py, bm/chien: _legacy_bm_chien.py), best of 5:",
         f"{'stage':>10} {'t':>4} {'pages':>6} {'errors':>7} {'speedup':>8}",
     ] + [
         f"{stage:>10} {t:>4} {pages:>6} {errors:>7} {ratio:>7.1f}x "
-        f"(floor {MIN_VS_LEGACY[stage, t, pages, errors]:.0f}x)"
+        f"(floor {MIN_VS_LEGACY[stage, t, pages, errors]:.1f}x)"
         for (stage, t, pages, errors), ratio in legacy_ratios.items()
     ]
     return "\n".join(lines) + "\n", all_speedups, legacy_ratios
@@ -231,7 +276,7 @@ def _check(speedups: dict, legacy_ratios: dict) -> list[str]:
         if ratio < floor:
             failures.append(
                 f"t={t} {stage} ({pages} pages, {errors} errors each) at "
-                f"{ratio:.1f}x the legacy kernel, below the {floor:.0f}x floor"
+                f"{ratio:.1f}x the legacy kernel, below the {floor:.1f}x floor"
             )
     return failures
 

@@ -36,11 +36,14 @@ through a wide ECC engine instead of streaming bits:
 * **Decoder**: ``decode`` is ``decode_batch`` of one word;
   ``decode_batch`` computes every syndrome in one remainder-first pass
   and takes the all-zero-syndrome early exit per word, so clean pages
-  never reach Berlekamp-Massey; errored words run a degree-tracked
-  inversionless BM and a two-pass Chien search (uint8 low-byte screen
-  over all positions, exact evaluation at the ~n/256 surviving
-  candidates).  The Chien exponent table and the syndrome tail table
-  are memoised per code, like the encoder's, and shared by every die.
+  never reach Berlekamp-Massey; errored words run the binary
+  inversionless BM in t iterations (S_2i = S_i^2 zeroes every odd-step
+  discrepancy) and a two-pass Chien search: a uint8 low-byte strided
+  screen over all positions (each locator term is one stride-i slice
+  view of a tiled low-byte antilog table, no gather), then exact
+  evaluation at the ~n/256 surviving candidates.  The tiled Chien table
+  and the syndrome tail table are memoised per code, like the
+  encoder's, and shared by every die.
 
 Batch API contract: ``encode_batch``/``decode_batch`` (on
 :class:`BCHEncoder`, :class:`BCHDecoder` and :class:`AdaptiveBCHCodec`)
@@ -49,8 +52,8 @@ per-word results bit-identical to the scalar ``encode``/``decode``,
 including permissive-mode failures and telemetry; the byte-serial scalar
 path survives as the cross-checked reference
 (``BCHDecoder(spec, vectorized=False)``).  Measured on 4 KiB pages at
-t = 65, batch 64: clean-page decode ~280x, errored-page (t/2 errors)
-~7x, encode ~7x over the scalar path
+t = 65, batch 64: clean-page decode ~270x, errored-page (t/2 errors)
+~18x, encode ~7x over the scalar path
 (``benchmarks/bench_ecc_throughput.py``).
 """
 

@@ -1,16 +1,21 @@
-"""Inversionless Berlekamp-Massey (iBM) — second decoding stage of Fig. 2.
+"""Binary inversionless Berlekamp-Massey — second decoding stage of Fig. 2.
 
 Iteratively builds the error-locator polynomial lambda(x) whose roots are
 the inverses of the error locations.  The inversionless formulation (no
 Galois division, as in Micheloni et al. ch. 8, the implementation the paper
-adopts) runs exactly 2t iterations; the hardware model charges
-``bm_cycles_per_iteration`` clocks per iteration.
+adopts) is run in its binary form: the syndromes of a binary word satisfy
+S_2i = S_i^2, so every odd-step discrepancy is zero (Berlekamp 1968) and
+only the t even steps do any work; at each odd step b(x) just shifts by x.
+The recursion therefore runs t iterations, which is what the hardware
+model in :mod:`repro.bch.hardware` charges (``bm_cycles_per_iteration``
+clocks each).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import SyndromeError
 from repro.gf.field import GF2m
 from repro.gf.polygf import GFPoly
 
@@ -22,11 +27,12 @@ class BerlekampResult:
     Attributes
     ----------
     error_locator:
-        lambda(x), low-order-first coefficients, lambda(0) != 0.
+        lambda(x), low-order-first coefficients, normalised to
+        lambda(0) = 1 (the canonical locator of the syndromes).
     degree:
         Claimed number of errors nu = deg(lambda) when consistent.
     iterations:
-        Number of update iterations executed (always 2t).
+        Number of update iterations executed (always t).
     """
 
     error_locator: GFPoly
@@ -34,75 +40,84 @@ class BerlekampResult:
     iterations: int
 
 
-def berlekamp_massey(field: GF2m, syndromes: list[int]) -> BerlekampResult:
-    """Run inversionless BM on ``[S_1 .. S_2t]``.
-
-    Returns the error-locator polynomial; the caller (decoder) validates it
-    by Chien search (root count must equal the claimed degree).
-
-    The inner loops index the field's plain-list log/antilog tables
-    directly instead of calling :meth:`GF2m.mul` — the recursion is
-    O(t^2) scalar multiplications and the per-call numpy scalar indexing
-    dominated its runtime (~4x at t = 65).
-    """
-    two_t = len(syndromes)
+def _check_binary(field: GF2m, syndromes: list[int]) -> None:
+    """Reject syndromes that cannot come from a binary word: the t-step
+    recursion is only valid when S_2i = S_i^2 for every i <= t."""
+    if len(syndromes) % 2:
+        raise SyndromeError(
+            f"expected 2t syndromes [S_1 .. S_2t], got {len(syndromes)}"
+        )
+    if any(not 0 <= s < field.q for s in syndromes):
+        raise SyndromeError(f"syndromes must be elements of GF(2^{field.m})")
     exp2 = field.exp2_list
     log = field.log_list
+    for i, (s, s_2i) in enumerate(zip(syndromes, syndromes[1::2]), 1):
+        if s_2i != (exp2[2 * log[s]] if s else 0):
+            raise SyndromeError(
+                f"S_{2 * i} != S_{i}^2: not the syndromes of a binary word"
+            )
+
+
+def berlekamp_massey(field: GF2m, syndromes: list[int]) -> BerlekampResult:
+    """Run binary inversionless BM on ``[S_1 .. S_2t]``.
+
+    Returns the error-locator polynomial; the caller (decoder) validates it
+    by Chien search (root count must equal the claimed degree).  Raises
+    :class:`repro.errors.SyndromeError` for an odd-length list or one that
+    breaks S_2i = S_i^2.
+
+    lambda is rescaled by the previous nonzero discrepancy gamma only when
+    the current discrepancy is nonzero, and b(x) is kept as a coefficient
+    log list plus a pending power of x, so a zero-discrepancy step costs
+    one shift count.  The loops index the field's plain-list log/antilog
+    tables directly (``log[0] = -1`` marks a zero coefficient).
+    """
     syndromes = [int(s) for s in syndromes]
-    # lam: current locator estimate; b: previous (shifted) estimate.  Both
-    # carry an explicit degree bound so the update loops only touch the
-    # live prefix (deg lam <= L <= t, not 2t + 1 entries every round).
-    lam = [1] + [0] * two_t
-    b = [1] + [0] * two_t
-    deg_lam = 0
-    deg_b = 0
-    gamma = 1  # previous nonzero discrepancy (inversionless scaling)
-    log_gamma = 0
+    _check_binary(field, syndromes)
+    exp2 = field.exp2_list
+    log = field.log_list
+    syndrome_logs = [log[s] for s in syndromes]
+    lam_logs = [0]  # current locator estimate lambda(x) = 1
+    b_logs = [0]  # previous estimate; b(x) stands for x^shift * b_logs(x)
+    shift = 0
+    log_gamma = 0  # previous nonzero discrepancy (inversionless scaling)
     length = 0  # current LFSR length L
 
-    for r in range(two_t):
-        # Discrepancy: delta = sum_{i=0..L} lam_i * S_{r+1-i}.
+    for r in range(0, len(syndromes), 2):
+        # Discrepancy: delta = sum_i lam_i * S_{r+1-i} (S_k at index k-1).
         delta = 0
-        for i in range(min(length, r) + 1):
-            li = lam[i]
-            s = syndromes[r - i]  # S_{r+1-i} stored at syndromes[r-i]
-            if li and s:
-                delta ^= exp2[log[li] + log[s]]
+        for lam_log, s_log in zip(lam_logs, syndrome_logs[r::-1]):
+            if lam_log >= 0 and s_log >= 0:
+                delta ^= exp2[lam_log + s_log]
+        if not delta:
+            shift += 2  # b(x) <- x^2 * b(x) across this and the odd step
+            continue
 
-        # T(x) = gamma*lam(x) + delta*x*b(x)  (characteristic 2).
-        if log_gamma:
-            new_lam = [
-                exp2[log[v] + log_gamma] if v else 0
-                for v in lam[: deg_lam + 1]
-            ]
-        else:
-            new_lam = lam[: deg_lam + 1]
-        new_deg = deg_lam
-        if delta:
-            shifted_deg = min(deg_b + 1, two_t)
-            if shifted_deg > new_deg:
-                new_lam.extend([0] * (shifted_deg - new_deg))
-                new_deg = shifted_deg
-            log_delta = log[delta]
-            for i in range(1, shifted_deg + 1):
-                bv = b[i - 1]
-                if bv:
-                    new_lam[i] ^= exp2[log_delta + log[bv]]
-        new_lam.extend([0] * (two_t + 1 - len(new_lam)))
+        # lam(x) <- gamma*lam(x) + delta*x*b(x)  (characteristic 2).
+        log_delta = log[delta]
+        new_lam = [exp2[v + log_gamma] if v >= 0 else 0 for v in lam_logs]
+        first = shift + 1
+        if first + len(b_logs) > len(new_lam):
+            new_lam.extend([0] * (first + len(b_logs) - len(new_lam)))
+        for i, b_log in enumerate(b_logs, first):
+            if b_log >= 0:
+                new_lam[i] ^= exp2[log_delta + b_log]
 
-        if delta and 2 * length <= r:
-            b = lam
-            deg_b = deg_lam
-            gamma = delta
-            log_gamma = log[gamma]
+        if 2 * length <= r:
+            b_logs = lam_logs
+            shift = 1  # the odd step's x
+            log_gamma = log_delta
             length = r + 1 - length
         else:
-            b = [0] + b[:-1]  # b(x) <- x * b(x)
-            deg_b = min(deg_b + 1, two_t)
-        lam = new_lam
-        deg_lam = new_deg
+            shift += 2
+        lam_logs = [log[v] for v in new_lam]
 
-    locator = GFPoly(field, lam)
+    # lambda(0) is gamma-scaled but never zero; divide it out.
+    inverse = field.order - lam_logs[0]
+    locator = GFPoly(
+        field, [exp2[v + inverse] if v >= 0 else 0 for v in lam_logs]
+    )
     return BerlekampResult(
-        error_locator=locator, degree=locator.degree, iterations=two_t
+        error_locator=locator, degree=locator.degree,
+        iterations=len(syndromes) // 2,
     )

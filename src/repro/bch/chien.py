@@ -9,16 +9,16 @@ is derived from n directly.
 
 The software implementation is numpy-vectorized over all candidate
 positions (equivalent to an h = n fully-parallel evaluator) and runs in
-two passes: a uint8 screen XOR-accumulates only the *low byte* of every
-``coeff * alpha^(-j*i)`` term (half the gather traffic of a full
-evaluation; a zero value implies a zero low byte, so no root is missed),
-then the few surviving candidates (~n/256 plus the real roots) are
-evaluated exactly.  Per-degree position exponents ``(i * -j) mod order``
-come from one table per code, built to degree t on first use and shared
-by every decoder (every die) in the process, so the screen loop is one
-add, one gather and one XOR per locator coefficient.  The hardware
-latency model in :mod:`repro.bch.hardware` accounts for the real h-way
-datapath.
+two passes.  A uint8 strided screen XOR-accumulates only the *low byte*
+of every locator term (a zero value implies a zero low byte, so no root
+is missed); then the few surviving candidates (~n/256 plus the real
+roots) are evaluated exactly.  At bit position p the term
+``c_i * x^i`` has exponent ``(log c_i - i*(n-1) + i*p) mod order``, an
+arithmetic progression in p, so over a low-byte antilog table tiled
+long enough (one per code, shared by every decoder in the process) each
+term of the screen is one stride-i slice *view* XOR-ed into the
+accumulator: no index array and no gather.  The hardware latency model
+in :mod:`repro.bch.hardware` accounts for the real h-way datapath.
 """
 
 from __future__ import annotations
@@ -33,25 +33,15 @@ from repro.gf.polygf import GFPoly
 
 
 @lru_cache(maxsize=None)
-def _degree_exponents(spec: BCHCodeSpec) -> np.ndarray:
-    """Read-only rows 0..t of ``(i * e_j) mod order``, j = 0..n_stored-1.
-
-    Position j (power of x in the stream polynomial, ``codeword * x^pad``)
-    has locator X = alpha^j; lambda's roots are X^{-1} = alpha^{-j}, so
-    lambda is evaluated at alpha^(e_j) with e_j = (-j) mod order.  Stored
-    as intp: numpy re-casts any other index dtype to intp on every
-    fancy-indexing gather, which would cost a full extra pass per
-    locator coefficient.
-    """
-    order = spec.field().order
-    base = (-np.arange(spec.n_stored, dtype=np.intp)) % order
-    rows = np.empty((spec.t + 1, base.size), dtype=np.intp)
-    rows[0] = 0
-    for i in range(1, spec.t + 1):
-        np.add(rows[i - 1], base, out=rows[i])
-        np.subtract(rows[i], order, out=rows[i], where=rows[i] >= order)
-    rows.flags.writeable = False
-    return rows
+def _low_byte_tiles(spec: BCHCodeSpec) -> np.ndarray:
+    """Read-only low bytes of ``alpha^k`` for k = 0 .. order + t*(n_stored-1)
+    - 1: long enough that a term of degree i <= t covers every position
+    in one stride-i slice (~2.2 MiB at t = 65 on a 4 KiB page)."""
+    field = spec.field()
+    low_bytes = (field.exp & 0xFF).astype(np.uint8)
+    tiles = np.resize(low_bytes, field.order + spec.t * (spec.n_stored - 1))
+    tiles.flags.writeable = False
+    return tiles
 
 
 class ChienSearch:
@@ -60,9 +50,6 @@ class ChienSearch:
     def __init__(self, spec: BCHCodeSpec):
         self.spec = spec
         self.field: GF2m = spec.field()
-        self._exp2_lo: np.ndarray | None = None
-        self._acc8: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
 
     def error_positions(self, locator: GFPoly) -> list[int]:
         """Bit positions (0 = MSB of byte 0) whose locator inverse is a root.
@@ -74,39 +61,37 @@ class ChienSearch:
             raise ValueError("locator polynomial is over a different field")
         if locator.degree <= 0:
             return []
-        coeffs = np.asarray(locator.coeffs, dtype=np.int64)
-        nz = np.flatnonzero(coeffs)
-        coeff_logs = self.field.log[coeffs[nz]].astype(np.intp)
-        # Rows beyond t only occur for locators that will fail anyway.
-        table = _degree_exponents(self.spec)
-        ipl = [
-            table[i] if i <= self.spec.t else i * table[1] % self.field.order
-            for i in nz
-        ]
-        if self._exp2_lo is None:
-            self._exp2_lo = (self.field.exp2_u16 & 0xFF).astype(np.uint8)
+        order = self.field.order
         n = self.spec.n_stored
-        if self._acc8 is None or self._acc8.size != n:
-            self._acc8 = np.empty(n, dtype=np.uint8)
-            self._scratch = np.empty(n, dtype=np.intp)
-        # Pass 1: XOR only the low byte of every term over all positions.
-        acc8, scratch = self._acc8, self._scratch
-        acc8[:] = 0
-        exp2_lo = self._exp2_lo
-        for exps, log_c in zip(ipl, coeff_logs):
-            np.add(exps, log_c, out=scratch)
-            acc8 ^= exp2_lo[scratch]
-        candidates = np.flatnonzero(acc8 == 0)
+        log = self.field.log_list
+        degrees = [i for i, c in enumerate(locator.coeffs) if c]
+        starts = [
+            (log[locator.coeffs[i]] - i * (n - 1)) % order for i in degrees
+        ]
+        # Pass 1: low-byte screen, one strided slice per term.  Degrees
+        # above t (only locators that will fail) need a few slices each.
+        tiles = _low_byte_tiles(self.spec)
+        reach = tiles.size - order
+        acc = np.zeros(n, dtype=np.uint8)
+        for i, start in zip(degrees, starts):
+            if i == 0:
+                acc ^= tiles[start]
+                continue
+            span = reach // i + 1
+            for first in range(0, n, span):
+                stop = min(first + span, n)
+                lo = (start + i * first) % order
+                hi = lo + i * (stop - first - 1) + 1
+                acc[first:stop] ^= tiles[lo:hi:i]
+        candidates = np.flatnonzero(acc == 0)
         if candidates.size == 0:
             return []
         # Pass 2: exact evaluation at the surviving candidates only.
-        exp2 = self.field.exp2_u16
-        values = np.zeros(candidates.size, dtype=np.uint16)
-        for exps, log_c in zip(ipl, coeff_logs):
-            values ^= exp2[exps[candidates] + log_c]
-        exponents_j = candidates[values == 0]  # j = power of x
-        positions = sorted(int(n - 1 - j) for j in exponents_j)
-        return positions
+        exponents = (
+            np.array(starts)[:, None] + np.array(degrees)[:, None] * candidates
+        ) % order
+        values = np.bitwise_xor.reduce(self.field.exp2_u16[exponents], axis=0)
+        return candidates[values == 0].tolist()
 
     def root_count_in_field(self, locator: GFPoly) -> int:
         """Number of roots over the *whole* field (diagnostic for failures)."""

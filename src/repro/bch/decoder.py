@@ -10,7 +10,9 @@ Fast path: :meth:`BCHDecoder.decode` is ``decode_batch`` of one word, and
 (:meth:`SyndromeCalculator.syndromes_batch`: re-encode the received
 message through the lane-parallel encoder, XOR with the received parity,
 evaluate only that difference).  A word whose parity matches its
-re-encoding is a codeword and never reaches Berlekamp-Massey.
+re-encoding is a codeword and never reaches Berlekamp-Massey.  Errored
+words run the binary Berlekamp-Massey (t iterations, locator normalised
+to lambda(0) = 1) and the strided two-pass Chien search.
 ``vectorized=False`` keeps the byte-serial syndrome path for single-word
 decodes, as the cross-check and benchmark reference.
 """

@@ -24,6 +24,11 @@ class CodeDesignError(ReproError):
     """A BCH code with the requested parameters cannot be constructed."""
 
 
+class SyndromeError(ReproError, ValueError):
+    """A syndrome list that no binary word produces (odd length, an
+    element outside the field, or S_2i != S_i^2)."""
+
+
 class DecodingFailure(ReproError):
     """The BCH decoder detected more errors than it can correct.
 

@@ -43,3 +43,15 @@ class TestChienSearch:
         poly = GFPoly.from_roots(field, [root])
         chien = ChienSearch(small_spec)
         assert chien.error_positions(poly) == []
+
+    def test_locator_above_t_finds_every_root(self, small_spec):
+        # A degree-3t locator (only failing words produce one) spans more
+        # than one strided slice per high-degree term; every root in
+        # range must still be counted, as the failure message reports it.
+        field = small_spec.field()
+        n = small_spec.n_stored
+        positions = [0, 5, 17, 40, 41, 63, 70, 80, n - 1]
+        roots = [field.alpha_pow(-(n - 1 - p) % field.order) for p in positions]
+        poly = GFPoly.from_roots(field, roots)
+        assert poly.degree == 3 * small_spec.t
+        assert ChienSearch(small_spec).error_positions(poly) == positions

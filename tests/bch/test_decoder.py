@@ -117,21 +117,22 @@ class TestSharedTables:
         word = flip_bits(codeword, [3, 5000, 32800])
         first, second = BCHDecoder(page_spec), BCHDecoder(page_spec)
         assert first.decode(word).error_positions == (3, 5000, 32800)
-        exponents = chien._degree_exponents(page_spec)
+        tiles = chien._low_byte_tiles(page_spec)
         tail = syndrome._tail_powers(page_spec)
-        misses = (chien._degree_exponents.cache_info().misses,
+        misses = (chien._low_byte_tiles.cache_info().misses,
                   syndrome._tail_powers.cache_info().misses)
         assert second.decode(word).error_positions == (3, 5000, 32800)
-        assert (chien._degree_exponents.cache_info().misses,
+        assert (chien._low_byte_tiles.cache_info().misses,
                 syndrome._tail_powers.cache_info().misses) == misses
-        assert exponents.shape == (page_spec.t + 1, page_spec.n_stored)
+        order = page_spec.field().order
+        assert tiles.shape == (order + page_spec.t * (page_spec.n_stored - 1),)
         assert tail.shape == (8 * page_spec.parity_bytes, page_spec.t)
-        assert not exponents.flags.writeable and not tail.flags.writeable
+        assert not tiles.flags.writeable and not tail.flags.writeable
 
-        chien._degree_exponents.cache_clear()
+        chien._low_byte_tiles.cache_clear()
         syndrome._tail_powers.cache_clear()
-        assert chien._degree_exponents.cache_info().currsize == 0
+        assert chien._low_byte_tiles.cache_info().currsize == 0
         assert syndrome._tail_powers.cache_info().currsize == 0
         assert second.decode(word).error_positions == (3, 5000, 32800)
-        assert chien._degree_exponents(page_spec) is not exponents
+        assert chien._low_byte_tiles(page_spec) is not tiles
         assert syndrome._tail_powers(page_spec) is not tail

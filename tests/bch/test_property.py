@@ -1,9 +1,17 @@
 """Property-based BCH round-trip tests (hypothesis)."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks._legacy_bm_chien import (
+    LegacyChienSearch,
+    legacy_berlekamp_massey,
+)
+from repro.bch import decoder as decoder_module
+from repro.bch.berlekamp import berlekamp_massey
 from repro.bch.decoder import BCHDecoder
 from repro.bch.encoder import BCHEncoder
 from repro.bch.params import design_code
@@ -126,3 +134,58 @@ class TestBatchSyndromeProperty:
         assert calc.syndromes_batch(words).tolist() == [
             calc.syndromes(word) for word in words
         ]
+
+
+class TestDecodeBackEndProperty:
+    """The t-step Berlekamp-Massey and the strided Chien screen decode
+    exactly like the frozen 2t-step iBM and gather screen
+    (``benchmarks/_legacy_bm_chien.py``) for every code shape and error
+    weights 0..t+3, so overloaded words and their failure verdicts are
+    covered too: same results and stats, the same locator once both are
+    normalised to lambda(0) = 1, and the injected positions whenever the
+    weight is within t."""
+
+    @given(
+        k=st.sampled_from([32768, 1024, 1000]),
+        t=st.integers(min_value=1, max_value=65),
+        batch=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_decode_matches_frozen_back_end(self, k, t, batch, seed):
+        spec = design_code(k, t)
+        encoder = BCHEncoder(spec)
+        rng = np.random.default_rng(seed)
+        injected, words = [], []
+        for message in (rng.bytes(k // 8) for _ in range(batch)):
+            weight = int(rng.integers(0, t + 4))
+            positions = sorted(
+                rng.choice(spec.n_stored, size=weight, replace=False).tolist()
+            )
+            injected.append(positions)
+            words.append(flip_bits(encoder.encode_codeword(message), positions))
+
+        live = BCHDecoder(spec)
+        frozen = BCHDecoder(spec)
+        frozen.chien = LegacyChienSearch(spec)
+        with mock.patch.object(
+            decoder_module, "berlekamp_massey", legacy_berlekamp_massey
+        ):
+            expected = frozen.decode_batch(words, strict=False)
+        results = live.decode_batch(words, strict=False)
+        assert results == expected
+        assert live.stats == frozen.stats
+        for positions, result in zip(injected, results):
+            if len(positions) <= t:
+                assert result.success
+                assert result.error_positions == tuple(positions)
+
+        field = spec.field()
+        for row in live.syndrome_calculator.syndromes_batch(words).tolist():
+            locator = berlekamp_massey(field, row).error_locator
+            old = legacy_berlekamp_massey(field, row).error_locator
+            scale = field.inv(old.coeff(0))
+            assert locator.coeffs == [field.mul(c, scale) for c in old.coeffs]
+            # Every root in range, so failure messages keep their count.
+            assert (live.chien.error_positions(locator)
+                    == frozen.chien.error_positions(old))
