@@ -22,10 +22,17 @@ one-lane slicing kernel (``_legacy_encoder.py``) on a 16-page batch
 (>= 5x at t = 6, no slower at t = 65), the remainder-first syndrome
 stage against the bit-unpack gather (``_legacy_syndrome.py``) on a
 16-page clean batch at t = 6 (>= 4x) and on one page carrying t/2
-errors at t = 65 (no slower), and the t-step Berlekamp-Massey and the
-strided Chien screen against the 2t-step iBM and the gather screen
+errors at t = 65 (no slower), the t-step Berlekamp-Massey and the
+decimated Chien screen against the 2t-step iBM and the gather screen
 (``_legacy_bm_chien.py``) on one page carrying 33 errors at t = 65
-(>= 1.5x each).
+(>= 1.5x each) and the Chien screen on one page carrying 65 (>= 3.5x),
+and the whole decode: ``decode_batch`` of one page at a time over a
+sequence of distinct 33-error pages, against a decoder whose back end
+runs those frozen kernels (>= 1.5x).  Timed alone, one stage keeps its
+tables hot; a sequence of whole decodes is what shows the stages
+evicting each other's tables from cache, as end-of-life reads do.  The
+frozen kernels read the field's shared scalar tables too, so their
+absolute speed follows those tables.
 """
 
 from __future__ import annotations
@@ -35,10 +42,12 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.bch import decoder as decoder_module
 from repro.bch.berlekamp import berlekamp_massey
 from repro.bch.chien import ChienSearch
 from repro.bch.decoder import BCHDecoder
@@ -62,7 +71,8 @@ MIN_ERRORED_SPEEDUP = 5.0
 
 #: Floors vs the frozen kernels, keyed by (stage, t, pages, bit errors
 #: per page).  16 pages is the size of a typical GC migration batch;
-#: t/2 errors on one page is the end-of-life read.
+#: t/2 errors on one page is the end-of-life read.  ``decode`` times
+#: one-page ``decode_batch`` calls over DECODE_SEQUENCE distinct pages.
 MIN_VS_LEGACY = {
     ("encode", 6, 16, 0): 5.0,
     ("encode", 65, 16, 0): 1.0,
@@ -70,7 +80,12 @@ MIN_VS_LEGACY = {
     ("syndromes", 65, 1, 32): 1.0,
     ("bm", 65, 1, 33): 1.5,
     ("chien", 65, 1, 33): 1.5,
+    ("chien", 65, 1, 65): 3.5,
+    ("decode", 65, 1, 33): 1.5,
 }
+
+#: Distinct pages the whole-decode gate decodes one call at a time.
+DECODE_SEQUENCE = 16
 
 
 def _flip_random_bits(codeword: bytes, weight: int,
@@ -164,6 +179,19 @@ def _positions(chien, locators: list) -> list:
     return [chien.error_positions(locator) for locator in locators]
 
 
+def _decode_each(decoder, words: list) -> list:
+    return [decoder.decode_batch([word]) for word in words]
+
+
+def _decode_each_frozen(decoder, words: list) -> list:
+    """:func:`_decode_each` with Berlekamp-Massey swapped for the frozen
+    2t-step iBM (``decoder.chien`` is the frozen screen)."""
+    with mock.patch.object(
+        decoder_module, "berlekamp_massey", legacy_berlekamp_massey
+    ):
+        return _decode_each(decoder, words)
+
+
 def _same_locators(field, live: list, legacy: list) -> bool:
     """The live locator is the frozen one divided by its lambda(0)."""
     for new, old in zip(live, legacy):
@@ -176,10 +204,12 @@ def _same_locators(field, live: list, legacy: list) -> bool:
 def bench_vs_legacy(stage: str, t: int, pages: int, errors: int,
                     rng: np.random.Generator) -> float:
     """Speedup of the live ``stage`` kernel over its frozen predecessor
-    on ``pages`` pages carrying ``errors`` bit errors each (best of 5)."""
+    on ``pages`` pages carrying ``errors`` bit errors each (best of 5);
+    ``decode`` runs :data:`DECODE_SEQUENCE` such calls back to back."""
     spec = design_code(PAGE_BYTES * 8, t)
     encoder = BCHEncoder(spec)
-    messages = [rng.bytes(PAGE_BYTES) for _ in range(pages)]
+    count = DECODE_SEQUENCE if stage == "decode" else pages
+    messages = [rng.bytes(PAGE_BYTES) for _ in range(count)]
     same = operator.eq
     if stage == "encode":
         live, legacy = encoder.encode_batch, LegacyBCHEncoder(spec).encode_batch
@@ -190,7 +220,12 @@ def bench_vs_legacy(stage: str, t: int, pages: int, errors: int,
             _flip_random_bits(cw, errors, spec.n_stored, rng)
             for cw in encoder.encode_codeword_batch(messages)
         ]
-    if stage == "syndromes":
+    if stage == "decode":
+        live = partial(_decode_each, BCHDecoder(spec))
+        frozen = BCHDecoder(spec)
+        frozen.chien = LegacyChienSearch(spec)
+        legacy = partial(_decode_each_frozen, frozen)
+    elif stage == "syndromes":
         live = calculator.syndromes_batch
         legacy = LegacySyndromeCalculator(spec).syndromes_batch
         same = np.array_equal
@@ -242,7 +277,8 @@ def run_benchmark(batch_pages: int = 64, scalar_pages: int = 8,
     lines += [
         "",
         "vs the frozen kernels (encode: _legacy_encoder.py, syndromes: "
-        "_legacy_syndrome.py, bm/chien: _legacy_bm_chien.py), best of 5:",
+        "_legacy_syndrome.py, bm/chien and the decode back end: "
+        "_legacy_bm_chien.py), best of 5:",
         f"{'stage':>10} {'t':>4} {'pages':>6} {'errors':>7} {'speedup':>8}",
     ] + [
         f"{stage:>10} {t:>4} {pages:>6} {errors:>7} {ratio:>7.1f}x "

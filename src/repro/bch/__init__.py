@@ -38,12 +38,14 @@ through a wide ECC engine instead of streaming bits:
   and takes the all-zero-syndrome early exit per word, so clean pages
   never reach Berlekamp-Massey; errored words run the binary
   inversionless BM in t iterations (S_2i = S_i^2 zeroes every odd-step
-  discrepancy) and a two-pass Chien search: a uint8 low-byte strided
-  screen over all positions (each locator term is one stride-i slice
-  view of a tiled low-byte antilog table, no gather), then exact
-  evaluation at the ~n/256 surviving candidates.  The tiled Chien table
-  and the syndrome tail table are memoised per code, like the
-  encoder's, and shared by every die.
+  discrepancy) over compact scalar tables (the field's
+  ``array('H')``/``array('i')`` antilog/log copies, 256 KiB each); then
+  a two-pass Chien search: a uint8 low-byte screen over all positions
+  (each locator term is a contiguous run of its degree's decimated
+  low-byte table, no stride and no gather), then exact evaluation at
+  the ~n/256 surviving candidates.  The per-degree decimated Chien tables are
+  memoised per field and the syndrome tail table per code, like the
+  encoder's, and all are shared by every die.
 
 Batch API contract: ``encode_batch``/``decode_batch`` (on
 :class:`BCHEncoder`, :class:`BCHDecoder` and :class:`AdaptiveBCHCodec`)

@@ -40,22 +40,29 @@ class BerlekampResult:
     iterations: int
 
 
-def _check_binary(field: GF2m, syndromes: list[int]) -> None:
-    """Reject syndromes that cannot come from a binary word: the t-step
-    recursion is only valid when S_2i = S_i^2 for every i <= t."""
+def _binary_syndrome_logs(field: GF2m, syndromes: list[int]) -> list[int]:
+    """Logs of ``[S_1 .. S_2t]`` (-1 for a zero syndrome), after rejecting
+    syndromes that cannot come from a binary word: the t-step recursion
+    is only valid when S_2i = S_i^2, i.e. log S_2i = 2 log S_i, for every
+    i <= t."""
     if len(syndromes) % 2:
         raise SyndromeError(
             f"expected 2t syndromes [S_1 .. S_2t], got {len(syndromes)}"
         )
-    if any(not 0 <= s < field.q for s in syndromes):
+    if syndromes and not 0 <= min(syndromes) <= max(syndromes) < field.q:
         raise SyndromeError(f"syndromes must be elements of GF(2^{field.m})")
-    exp2 = field.exp2_list
     log = field.log_list
-    for i, (s, s_2i) in enumerate(zip(syndromes, syndromes[1::2]), 1):
-        if s_2i != (exp2[2 * log[s]] if s else 0):
-            raise SyndromeError(
-                f"S_{2 * i} != S_{i}^2: not the syndromes of a binary word"
-            )
+    logs = [log[s] for s in syndromes]
+    order = field.order
+    squares = [2 * s_log % order if s_log >= 0 else -1
+               for s_log in logs[:len(logs) // 2]]
+    if squares != logs[1::2]:
+        i = next(i for i, (square, s_2i_log) in
+                 enumerate(zip(squares, logs[1::2]), 1) if square != s_2i_log)
+        raise SyndromeError(
+            f"S_{2 * i} != S_{i}^2: not the syndromes of a binary word"
+        )
+    return logs
 
 
 def berlekamp_massey(field: GF2m, syndromes: list[int]) -> BerlekampResult:
@@ -69,14 +76,15 @@ def berlekamp_massey(field: GF2m, syndromes: list[int]) -> BerlekampResult:
     lambda is rescaled by the previous nonzero discrepancy gamma only when
     the current discrepancy is nonzero, and b(x) is kept as a coefficient
     log list plus a pending power of x, so a zero-discrepancy step costs
-    one shift count.  The loops index the field's plain-list log/antilog
-    tables directly (``log[0] = -1`` marks a zero coefficient).
+    one shift count.  The loops index the field's compact scalar tables
+    (``array('H')``/``array('i')``, 256 KiB each at m = 16, so they stay
+    cached beside the Chien screen's tables; ``log[0] = -1`` marks a zero
+    coefficient).
     """
     syndromes = [int(s) for s in syndromes]
-    _check_binary(field, syndromes)
+    syndrome_logs = _binary_syndrome_logs(field, syndromes)
     exp2 = field.exp2_list
     log = field.log_list
-    syndrome_logs = [log[s] for s in syndromes]
     lam_logs = [0]  # current locator estimate lambda(x) = 1
     b_logs = [0]  # previous estimate; b(x) stands for x^shift * b_logs(x)
     shift = 0

@@ -9,21 +9,29 @@ is derived from n directly.
 
 The software implementation is numpy-vectorized over all candidate
 positions (equivalent to an h = n fully-parallel evaluator) and runs in
-two passes.  A uint8 strided screen XOR-accumulates only the *low byte*
-of every locator term (a zero value implies a zero low byte, so no root
-is missed); then the few surviving candidates (~n/256 plus the real
-roots) are evaluated exactly.  At bit position p the term
-``c_i * x^i`` has exponent ``(log c_i - i*(n-1) + i*p) mod order``, an
-arithmetic progression in p, so over a low-byte antilog table tiled
-long enough (one per code, shared by every decoder in the process) each
-term of the screen is one stride-i slice *view* XOR-ed into the
-accumulator: no index array and no gather.  The hardware latency model
-in :mod:`repro.bch.hardware` accounts for the real h-way datapath.
+two passes.  A uint8 screen XOR-accumulates only the *low byte* of
+every locator term (a zero value implies a zero low byte, so no root is
+missed); then the few surviving candidates (~n/256 plus the real roots)
+are evaluated exactly.  At bit position p the term ``c_i * x^i`` has
+exponent ``start_i + i*p (mod order)`` with
+``start_i = log c_i - i*(n-1)``.  The screen reads it from per-degree
+decimated low-byte tables: with g = gcd(i, order), the table for degree
+i has row c, column q holding the low byte of ``alpha^(c + i*q)``, so
+the term is row ``start_i mod g`` read *contiguously* from column
+``(start_i // g) * (i/g)^-1 mod (order/g)``, wrapping at the row's end
+(a head slice, whole rows as one 2-D view, a tail slice).  No stride, no
+index array and no gather: each term streams one cache-friendly run of
+bytes.  Each table is a permutation of the field's low bytes (64 KiB at
+m = 16, 4 MiB for the 65 degrees of t = 65), built on the first use of
+its degree and shared by every decoder of the field in the process.
+The hardware latency model in :mod:`repro.bch.hardware` accounts for
+the real h-way datapath.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -33,15 +41,28 @@ from repro.gf.polygf import GFPoly
 
 
 @lru_cache(maxsize=None)
-def _low_byte_tiles(spec: BCHCodeSpec) -> np.ndarray:
-    """Read-only low bytes of ``alpha^k`` for k = 0 .. order + t*(n_stored-1)
-    - 1: long enough that a term of degree i <= t covers every position
-    in one stride-i slice (~2.2 MiB at t = 65 on a 4 KiB page)."""
-    field = spec.field()
-    low_bytes = (field.exp & 0xFF).astype(np.uint8)
-    tiles = np.resize(low_bytes, field.order + spec.t * (spec.n_stored - 1))
-    tiles.flags.writeable = False
-    return tiles
+def _decimated_low_bytes(field: GF2m, degree: int) -> np.ndarray:
+    """Read-only low bytes of ``alpha^(c + degree*q)``, row c, column q.
+
+    With g = gcd(degree, order) the table has shape ``(g, order // g)``:
+    the sequence start + degree*p (mod order) stays in the residue class
+    of ``start mod g`` and, because ``order // g`` is coprime to
+    ``degree // g``, walks that row one column per step.  Each table is
+    a permutation of the field's low bytes (64 KiB at m = 16), built on
+    the first use of its degree and shared by every decoder of the field.
+    """
+    order = field.order
+    g = gcd(degree, order)
+    # int32 holds degree * order (< 2^31 while degree < 2^15) and halves
+    # the build's memory traffic against int64.
+    columns = degree * np.arange(order // g, dtype=np.int32)
+    exponents = np.arange(g, dtype=np.int32)[:, None] + columns
+    # order = 2^m - 1, so one fold of the high bits onto the low ones
+    # reduces below 2 * order, in range of the doubled antilog table.
+    exponents = (exponents & order) + (exponents >> field.m)
+    table = (field.exp2_u16[exponents] & 0xFF).astype(np.uint8)
+    table.flags.writeable = False
+    return table
 
 
 class ChienSearch:
@@ -68,21 +89,27 @@ class ChienSearch:
         starts = [
             (log[locator.coeffs[i]] - i * (n - 1)) % order for i in degrees
         ]
-        # Pass 1: low-byte screen, one strided slice per term.  Degrees
-        # above t (only locators that will fail) need a few slices each.
-        tiles = _low_byte_tiles(self.spec)
-        reach = tiles.size - order
+        # Pass 1: low-byte screen.  Term i reads row ``start mod g`` of
+        # its decimated table contiguously from one column on, wrapping
+        # at the row's end: a head slice, whole rows (one broadcast XOR
+        # over a 2-D view) and a tail slice.  No stride, no gather.
         acc = np.zeros(n, dtype=np.uint8)
         for i, start in zip(degrees, starts):
             if i == 0:
-                acc ^= tiles[start]
+                acc ^= int(self.field.exp[start]) & 0xFF
                 continue
-            span = reach // i + 1
-            for first in range(0, n, span):
-                stop = min(first + span, n)
-                lo = (start + i * first) % order
-                hi = lo + i * (stop - first - 1) + 1
-                acc[first:stop] ^= tiles[lo:hi:i]
+            table = _decimated_low_bytes(self.field, i)
+            g, width = table.shape
+            row = table[start % g]
+            column = (start // g) * pow(i // g, -1, width) % width
+            head = min(width - column, n)
+            acc[:head] ^= row[column:column + head]
+            rows, tail = divmod(n - head, width)
+            if rows:
+                body = acc[head:head + rows * width].reshape(rows, width)
+                np.bitwise_xor(body, row, out=body)
+            if tail:
+                acc[n - tail:] ^= row[:tail]
         candidates = np.flatnonzero(acc == 0)
         if candidates.size == 0:
             return []

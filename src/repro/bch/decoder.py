@@ -12,7 +12,8 @@ message through the lane-parallel encoder, XOR with the received parity,
 evaluate only that difference).  A word whose parity matches its
 re-encoding is a codeword and never reaches Berlekamp-Massey.  Errored
 words run the binary Berlekamp-Massey (t iterations, locator normalised
-to lambda(0) = 1) and the strided two-pass Chien search.
+to lambda(0) = 1) and the two-pass Chien search over per-degree
+decimated low-byte tables.
 ``vectorized=False`` keeps the byte-serial syndrome path for single-word
 decodes, as the cross-check and benchmark reference.
 """

@@ -2,13 +2,18 @@
 
 The field is built from a primitive polynomial p(x) of degree m; elements
 are integers in [0, 2^m) whose bits are polynomial coefficients.  A full
-exponentiation table of the primitive element alpha is precomputed, which
-makes scalar multiplication two table lookups and allows numpy-vectorized
-bulk arithmetic (used heavily by the Chien search).
+exponentiation table of the primitive element alpha is precomputed (a
+plain-int loop and one vectorised log scatter), which makes scalar
+multiplication two table lookups and allows numpy-vectorized bulk
+arithmetic.  The scalar hot loops (Berlekamp-Massey) index compact
+scalar tables, ``array('H')``/``array('i')`` copies of the numpy tables
+of 256 KiB each at m = 16, small enough to stay in cache beside the
+Chien screen's tables.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 
 import numpy as np
@@ -80,23 +85,23 @@ class GF2m:
         self.order = self.q - 1
         self.primitive_poly = primitive_poly
 
-        exp = np.zeros(self.order, dtype=np.int64)
-        log = np.full(self.q, -1, dtype=np.int64)
+        powers = []
         value = 1
-        for i in range(self.order):
-            exp[i] = value
-            if log[value] != -1:
-                raise GaloisFieldError(
-                    f"polynomial 0x{primitive_poly:x} is not primitive for m={m}"
-                )
-            log[value] = i
+        for _ in range(self.order):
+            powers.append(value)
             value <<= 1
             if value & self.q:
                 value ^= primitive_poly
-        if value != 1:
+        exp = np.array(powers, dtype=np.int64)
+        # x is primitive iff its powers first return to 1 after exactly
+        # 2^m - 1 steps (x^i = 1 for no 0 < i < order, and x^order = 1);
+        # then they are distinct and visit every nonzero element once.
+        if value != 1 or np.count_nonzero(exp == 1) != 1:
             raise GaloisFieldError(
                 f"polynomial 0x{primitive_poly:x} is not primitive for m={m}"
             )
+        log = np.full(self.q, -1, dtype=np.int64)
+        log[exp] = np.arange(self.order, dtype=np.int64)
         self.exp = exp
         self.log = log
         # Doubled exponent table: avoids the modulo reduction in scalar mul.
@@ -165,17 +170,19 @@ class GF2m:
         return self._exp2_u16
 
     @property
-    def exp2_list(self) -> list[int]:
-        """Doubled antilog table as a plain list (fast scalar indexing)."""
+    def exp2_list(self) -> array:
+        """Doubled antilog table as a compact ``array('H')`` (fast scalar
+        indexing; 256 KiB at m = 16, so it stays cache-resident)."""
         if self._exp2_list is None:
-            self._exp2_list = self._exp2.tolist()
+            self._exp2_list = array("H", self.exp2_u16.tobytes())
         return self._exp2_list
 
     @property
-    def log_list(self) -> list[int]:
-        """Log table as a plain list (fast scalar indexing; log[0] = -1)."""
+    def log_list(self) -> array:
+        """Log table as a compact ``array('i')`` (fast scalar indexing;
+        log[0] = -1)."""
         if self._log_list is None:
-            self._log_list = self.log.tolist()
+            self._log_list = array("i", self.log.astype(np.intc).tobytes())
         return self._log_list
 
     # -- vectorized operations ---------------------------------------------

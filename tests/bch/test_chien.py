@@ -45,9 +45,9 @@ class TestChienSearch:
         assert chien.error_positions(poly) == []
 
     def test_locator_above_t_finds_every_root(self, small_spec):
-        # A degree-3t locator (only failing words produce one) spans more
-        # than one strided slice per high-degree term; every root in
-        # range must still be counted, as the failure message reports it.
+        # A degree-3t locator (only failing words produce one) reads the
+        # decimated tables of degrees above t; every root in range must
+        # still be counted, as the failure message reports it.
         field = small_spec.field()
         n = small_spec.n_stored
         positions = [0, 5, 17, 40, 41, 63, 70, 80, n - 1]

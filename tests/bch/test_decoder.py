@@ -1,5 +1,7 @@
 """Full decoder pipeline tests."""
 
+from math import gcd
+
 import pytest
 
 from repro.bch.decoder import BCHDecoder
@@ -117,22 +119,26 @@ class TestSharedTables:
         word = flip_bits(codeword, [3, 5000, 32800])
         first, second = BCHDecoder(page_spec), BCHDecoder(page_spec)
         assert first.decode(word).error_positions == (3, 5000, 32800)
-        tiles = chien._low_byte_tiles(page_spec)
+        field = page_spec.field()
+        tables = [chien._decimated_low_bytes(field, i) for i in (1, 2, 3)]
         tail = syndrome._tail_powers(page_spec)
-        misses = (chien._low_byte_tiles.cache_info().misses,
+        misses = (chien._decimated_low_bytes.cache_info().misses,
                   syndrome._tail_powers.cache_info().misses)
         assert second.decode(word).error_positions == (3, 5000, 32800)
-        assert (chien._low_byte_tiles.cache_info().misses,
+        assert (chien._decimated_low_bytes.cache_info().misses,
                 syndrome._tail_powers.cache_info().misses) == misses
-        order = page_spec.field().order
-        assert tiles.shape == (order + page_spec.t * (page_spec.n_stored - 1),)
+        order = field.order  # 2^16 - 1 = 3 * 5 * 17 * 257: degree 3 has g = 3
+        for degree, table in enumerate(tables, 1):
+            g = gcd(degree, order)
+            assert table.shape == (g, order // g)
+            assert not table.flags.writeable
         assert tail.shape == (8 * page_spec.parity_bytes, page_spec.t)
-        assert not tiles.flags.writeable and not tail.flags.writeable
+        assert not tail.flags.writeable
 
-        chien._low_byte_tiles.cache_clear()
+        chien._decimated_low_bytes.cache_clear()
         syndrome._tail_powers.cache_clear()
-        assert chien._low_byte_tiles.cache_info().currsize == 0
+        assert chien._decimated_low_bytes.cache_info().currsize == 0
         assert syndrome._tail_powers.cache_info().currsize == 0
         assert second.decode(word).error_positions == (3, 5000, 32800)
-        assert chien._low_byte_tiles(page_spec) is not tiles
+        assert chien._decimated_low_bytes(field, 3) is not tables[2]
         assert syndrome._tail_powers(page_spec) is not tail
